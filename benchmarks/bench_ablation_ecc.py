@@ -6,7 +6,7 @@ injects physically motivated error patterns through both real codecs and
 prints the outcome mix.
 """
 
-from repro.analysis.ecc_study import (
+from repro.mitigation.codes import (
     PATTERNS,
     compare_schemes,
     render_comparison,

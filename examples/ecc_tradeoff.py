@@ -13,9 +13,9 @@ SSC-DSD chipkill-class symbol code over GF(256) -- and then sizes the
 consequence against the campaign's own fault-mode mix.
 """
 
-from repro.analysis.ecc_study import compare_schemes, render_comparison
 from repro.faults.classify import errors_per_mode, mode_counts
 from repro.faults.types import FaultMode
+from repro.mitigation.codes import compare_schemes, render_comparison
 from repro.synth import CampaignGenerator
 
 

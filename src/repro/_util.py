@@ -1,4 +1,5 @@
-"""Small shared utilities: time handling and stateless hash noise.
+"""Small shared utilities: time handling, durable artifact writes, the
+found/expected refusal, and stateless hash noise.
 
 The sensor field generator needs *stateless* pseudo-randomness -- the value
 of sensor ``s`` on node ``n`` at minute ``t`` must be computable in any
@@ -94,6 +95,51 @@ def fsync_dir(directory) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def fsync_file(fh) -> None:
+    """Flush an open binary file and fsync its data to stable storage."""
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``; the one artifact write path.
+
+    ``data`` lands in ``<name>.tmp`` beside ``path``, which is fsynced,
+    renamed over ``path`` with ``os.replace``, and then the directory is
+    fsynced (:func:`fsync_dir`).
+
+    Crash-ordering invariant: (1) the temp file's *data* is durable
+    before the rename, so the rename can never expose a half-written
+    file; (2) the *directory* is fsynced after the rename, so a power
+    cut cannot roll the rename back and resurface the previous version
+    after the caller was told the new one is durable.  A crash at any
+    point therefore leaves ``path`` holding either all of the old bytes
+    or all of the new ones.  Callers that publish several files in a
+    dependency order (payload before the manifest naming it, rollup
+    snapshot before the checkpoint naming it) get that order on disk by
+    calling this once per file in that order.
+    """
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fsync_file(fh)
+    os.replace(tmp, path)
+    fsync_dir(os.path.dirname(path) or ".")
+
+
+def mismatch(error_cls, what: str, found, expected, hint: str) -> Exception:
+    """The uniform found/expected refusal every artifact loader raises.
+
+    Returns ``error_cls("<what> mismatch: found <found>, expected
+    <expected>; hint: <hint>")`` for the caller to ``raise``.  Values
+    are formatted with ``str``; pass ``repr(value)`` where quotes help.
+    """
+    return error_cls(
+        f"{what} mismatch: found {found}, expected {expected}; hint: {hint}"
+    )
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.ecc_study import PATTERNS, compare_schemes
+from repro.mitigation.codes import PATTERNS, compare_schemes
 from repro.experiments.base import ExperimentResult
 
 EXP_ID = "ext-ecc"

@@ -13,8 +13,8 @@ fleet directory:
 
 - ``fleet-cache/`` (:class:`ShardResultCache`): one ``.npz`` per
   committed shard holding the reduced artefacts (fault array, per-mode
-  counts, ingest accounting).  Files are written tmp + fsync +
-  ``os.replace`` + directory fsync, and the ledger's commit line
+  counts, ingest accounting).  Files are written with
+  :func:`repro._util.atomic_write`, and the ledger's commit line
   records the CRC-32C of the file bytes -- so ``--resume`` trusts a
   cached result only when its digest matches, and a torn cache write
   (crash between rename and durability, or an injected
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._util import fsync_dir
+from repro._util import atomic_write
 from repro.logs.ingest import IngestStats
 from repro.logs.integrity import crc32c
 
@@ -204,8 +204,8 @@ class ShardResultCache:
         """Persist one shard result; returns ``(relative path, digest)``.
 
         The payload is serialised to an in-memory npz, its CRC-32C
-        computed over the *intended* bytes, and the file written
-        tmp -> fsync -> ``os.replace`` -> directory fsync.  The digest
+        computed over the *intended* bytes, and the file written with
+        :func:`~repro._util.atomic_write`.  The digest
         the caller writes into the ledger therefore vouches for the
         bytes that should be on disk; any divergence (torn write,
         bit rot, an injected ``checkpoint-tear``) is caught by
@@ -240,13 +240,7 @@ class ShardResultCache:
         self._saves += 1
         path = self.path_for(key)
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".npz.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.directory)
+        atomic_write(path, payload)
         return str(path.relative_to(self.directory)), digest
 
     # ------------------------------------------------------------------

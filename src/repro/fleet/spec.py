@@ -28,8 +28,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
+from repro._util import atomic_write, mismatch
 from repro.machine.topology import AstraTopology
 
 #: Manifest filename inside a fleet directory.
@@ -142,7 +144,8 @@ class Fleet:
     def save(self) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.manifest_path()
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        doc = json.dumps(self.to_dict(), indent=2) + "\n"
+        atomic_write(path, doc.encode())
         return path
 
     @classmethod
@@ -162,10 +165,11 @@ class Fleet:
             raise FleetFormatError(path, "not an astra-memrepro fleet manifest")
         version = doc.get("schema_version")
         if version != FLEET_SCHEMA_VERSION:
-            raise FleetFormatError(
-                path,
-                f"unsupported schema_version {version!r} "
-                f"(this build reads {FLEET_SCHEMA_VERSION})",
+            raise mismatch(
+                partial(FleetFormatError, path), "schema_version",
+                repr(version), FLEET_SCHEMA_VERSION,
+                "re-synthesise the fleet into a fresh --shard-dir with "
+                "this version of the code",
             )
         try:
             topo_doc = doc.get("topology", {})

@@ -271,8 +271,7 @@ def ingest_lines(fh, parse_line, stats: IngestStats, policy: IngestPolicy,
     ``repair_line`` is tried under the ``repair`` policy before
     quarantining.  Tallies every outcome into ``stats`` and records
     drops in ``quarantine``.  This is the single lenient/strict code
-    path shared by every text parser (the logic previously duplicated
-    between ``read_ce_log`` and ``iter_ce_log``).
+    path shared by every text parser.
     """
     source = getattr(fh, "name", "<stream>")
     for line_no, raw in enumerate(fh, 1):

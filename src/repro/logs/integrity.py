@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._util import atomic_write
+
 #: CRC-32C (Castagnoli), reflected representation.
 _POLY = 0x82F63B78
 
@@ -260,7 +262,7 @@ def write_checksum(path: str | os.PathLike) -> Path:
     value, size = crc32c_file(path)
     doc = {"algorithm": "crc32c", "crc32c": f"{value:08x}", "size": size}
     side = sidecar_path(path)
-    side.write_text(json.dumps(doc) + "\n")
+    atomic_write(side, (json.dumps(doc) + "\n").encode())
     return side
 
 

@@ -329,10 +329,13 @@ def stream_ce_batches(
     online aggregation (e.g. ``OnlineCoalescer.add``, whose result is
     batching-insensitive).  ``stats`` -- an :class:`IngestStats`,
     created when ``None`` -- accumulates the same per-line accounting as
-    :func:`ingest_ce_log`, minus the cross-stream time re-sort: like
-    :func:`iter_ce_log`, repair applies per line only, so out-of-order
-    timestamps are not reclassified as repairs.
+    :func:`ingest_ce_log`, minus the cross-stream time re-sort: repair
+    applies per line only, so out-of-order timestamps are not
+    reclassified as repairs.  ``chunk_records`` caps a batch on the
+    per-line gear; the fast gear yields one batch per block.
     """
+    if chunk_records < 1:
+        raise ValueError("chunk_records must be positive")
     policy = IngestPolicy.coerce(policy)
     if stats is None:
         stats = IngestStats(family="errors", source="text")
@@ -374,45 +377,6 @@ def read_ce_log(path: str | os.PathLike, strict: bool = False) -> ParseResult:
     """
     policy = IngestPolicy.STRICT if strict else IngestPolicy.SKIP
     return ingest_ce_log(path, policy=policy, quarantine=False)
-
-
-def iter_ce_log(
-    path: str | os.PathLike,
-    chunk_records: int = 100_000,
-    strict: bool = False,
-    policy: IngestPolicy | str | None = None,
-):
-    """Stream a CE log as (chunk_array, n_malformed_in_chunk) pairs.
-
-    For archive-scale logs (the study's raw data is ~8 GiB) that should
-    not be materialised at once; each chunk is an ERROR_DTYPE array of at
-    most ``chunk_records`` records, ready for per-chunk aggregation with
-    the shard-parallel reducers.  ``policy`` overrides the boolean
-    ``strict`` switch; note the streaming reader never re-sorts across
-    chunk boundaries (repair applies per line only).  The streaming
-    reader keeps the per-line path: its per-chunk malformed-count
-    attribution depends on exactly when each line is judged, which
-    block-granular parsing would shift.
-    """
-    if chunk_records < 1:
-        raise ValueError("chunk_records must be positive")
-    if policy is None:
-        policy = IngestPolicy.STRICT if strict else IngestPolicy.SKIP
-    policy = IngestPolicy.coerce(policy)
-    repair = _repair_line if policy is IngestPolicy.REPAIR else None
-
-    rows: list[dict] = []
-    stats = IngestStats(family="errors", source="text")
-    quarantined_flushed = 0
-    with open(path) as fh:
-        for row in ingest_lines(fh, _parse_line, stats, policy, None, repair):
-            rows.append(row)
-            if len(rows) >= chunk_records:
-                yield _rows_to_array(rows), stats.quarantined - quarantined_flushed
-                rows = []
-                quarantined_flushed = stats.quarantined
-    if rows or stats.quarantined > quarantined_flushed:
-        yield _rows_to_array(rows), stats.quarantined - quarantined_flushed
 
 
 #: Fields a complete CE line must carry (strict mode requires them all).

@@ -37,8 +37,8 @@ hand-computed syndrome vectors.
 
 The pattern-level Monte-Carlo study (inject physically motivated error
 patterns through the *real* SEC-DED and chipkill codecs) also lives
-here; :mod:`repro.analysis.ecc_study` delegates to it so the existing
-ablation bench stays byte-compatible.
+here, with :func:`render_comparison` for the ``ext-ecc`` experiment,
+the ablation bench and the examples.
 """
 
 from __future__ import annotations
@@ -255,11 +255,9 @@ def rs_erasure_decode(
 
 
 # ----------------------------------------------------------------------
-# Pattern-level Monte-Carlo study through the *real* codecs.  Moved
-# verbatim from repro.analysis.ecc_study (which now delegates here) so
-# the scenario engine and the ablation bench share one code layer;
-# RNG draw order is unchanged, keeping every published number
-# byte-identical.
+# Pattern-level Monte-Carlo study through the *real* codecs, shared by
+# the scenario engine and the ablation bench; the RNG draw order is
+# fixed, keeping every published number byte-identical.
 # ----------------------------------------------------------------------
 
 #: The error patterns studied, in escalating severity.
@@ -447,3 +445,17 @@ def compare_schemes(trials: int = 2000, seed: int = 0) -> dict:
             "chipkill": evaluate_chipkill(pattern, trials, seed),
         }
     return out
+
+
+def render_comparison(results: dict) -> str:
+    """Text table of the scheme comparison."""
+    lines = [
+        "pattern                         scheme     outcome mix",
+        "-" * 78,
+    ]
+    for pattern, pair in results.items():
+        for scheme in ("secded", "chipkill"):
+            lines.append(
+                f"{pattern:<30} {scheme:<9} {pair[scheme].summary()}"
+            )
+    return "\n".join(lines)

@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._util import atomic_write, mismatch
 from repro.logs.integrity import crc32c
-from repro.predict.errors import PredictError, mismatch
+from repro.predict.errors import PredictError
 from repro.predict.features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
 
 #: Version of the artifact layout itself.
@@ -106,8 +107,8 @@ class Model:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.w.size:
             raise mismatch(
-                "feature width", X.shape[1] if X.ndim == 2 else X.shape,
-                self.w.size,
+                PredictError, "feature width",
+                X.shape[1] if X.ndim == 2 else X.shape, self.w.size,
                 "extract features with the same FEATURE_NAMES layout the "
                 "model was trained on",
             )
@@ -123,7 +124,7 @@ class Model:
             int(nodes.max()) >= self.geometry["n_nodes"] or int(nodes.min()) < 0
         ):
             raise mismatch(
-                "fleet geometry",
+                PredictError, "fleet geometry",
                 f"node id {int(nodes.max())}",
                 f"< {self.geometry['n_nodes']} nodes",
                 "the model was trained on a different fleet; retrain "
@@ -155,13 +156,11 @@ class Model:
         ).encode()
 
     def save(self, path) -> str:
-        """Write the artifact atomically; returns the model_id."""
-        path = Path(path)
+        """Write the artifact durably; returns the model_id."""
         payload = self._payload()
         payload["crc"] = crc32c(self._canonical())
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
+        doc = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        atomic_write(path, doc.encode())
         return f"{payload['crc']:08x}"
 
     @classmethod
@@ -176,14 +175,16 @@ class Model:
             ) from exc
         if not isinstance(payload, dict) or payload.get("kind") != "predict-model":
             raise mismatch(
-                "artifact kind", payload.get("kind") if isinstance(payload, dict) else type(payload).__name__,
-                "predict-model",
+                PredictError, "artifact kind",
+                repr(payload.get("kind")) if isinstance(payload, dict)
+                else type(payload).__name__,
+                repr("predict-model"),
                 f"{path} is not a predictor artifact",
             )
         if payload.get("schema") != MODEL_SCHEMA_VERSION:
             raise mismatch(
-                "model schema version", payload.get("schema"),
-                MODEL_SCHEMA_VERSION,
+                PredictError, "model schema version",
+                repr(payload.get("schema")), MODEL_SCHEMA_VERSION,
                 "retrain with `repro predict train` on this version",
             )
         crc = payload.pop("crc", None)
@@ -210,14 +211,14 @@ class Model:
             )
         if model.feature_schema_version != FEATURE_SCHEMA_VERSION:
             raise mismatch(
-                "feature schema version", model.feature_schema_version,
-                FEATURE_SCHEMA_VERSION,
+                PredictError, "feature schema version",
+                model.feature_schema_version, FEATURE_SCHEMA_VERSION,
                 "the model predates this feature layout; retrain with "
                 "`repro predict train`",
             )
         if payload["feature_names"] != list(FEATURE_NAMES):
             raise mismatch(
-                "feature names", payload["feature_names"],
+                PredictError, "feature names", payload["feature_names"],
                 list(FEATURE_NAMES),
                 "the model predates this feature layout; retrain with "
                 "`repro predict train`",

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import DAY_S
+from repro._util import DAY_S, mismatch
+from repro.predict.errors import PredictError
 from repro.predict.features import FeatureConfig, FeatureState
 from repro.predict.model import Model
 
@@ -160,13 +161,11 @@ class OnlineScorer:
         }
 
     def restore(self, state: dict) -> None:
-        from repro.predict.errors import mismatch
-
         if state["model_id"] != self.model.model_id:
             raise mismatch(
-                "predictor model",
-                state["model_id"],
-                self.model.model_id,
+                PredictError, "predictor model",
+                repr(state["model_id"]),
+                repr(self.model.model_id),
                 "resume with the model the interrupted run was scoring "
                 "with, or start over with --no-resume",
             )

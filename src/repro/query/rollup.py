@@ -34,11 +34,11 @@ the coalescer's live fault snapshot via :meth:`RollupStore.set_faults`
 at snapshot points; per-shard fault cubes still merge exactly because
 coalescing groups never span racks (DESIGN.md section 11).
 
-*Atomic versioned snapshots.*  :meth:`RollupStore.snapshot` reuses the
-checkpoint discipline (tmp file, data fsync, ``os.replace``, directory
-fsync) for both the immutable ``rollup-NNNNNN.npz`` payload and the
-``rollup.json`` manifest that names it, so a reader either loads a
-complete previous version or a complete new one -- never torn bytes.
+*Atomic versioned snapshots.*  :meth:`RollupStore.snapshot` writes both
+the immutable ``rollup-NNNNNN.npz`` payload and the ``rollup.json``
+manifest that names it with :func:`repro._util.atomic_write`, payload
+first, so a reader either loads a complete previous version or a
+complete new one -- never torn bytes.
 Old versions are pruned only after the manifest stops referencing
 them, and readers retry on the resulting (benign) race.
 """
@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._util import fsync_dir
+from repro._util import atomic_write, mismatch
 from repro.faults.types import ERROR_DTYPE, FAULT_DTYPE, FaultMode
 from repro.logs.integrity import crc32c
 
@@ -366,10 +366,10 @@ class RollupStore:
         at most one shard stream carries sensors).
         """
         if other.config != self.config:
-            raise RollupError(
-                "rollup config mismatch: found "
-                f"{other.config.to_dict()}, expected {self.config.to_dict()};"
-                " hint: rebuild one side with the same cube geometry"
+            raise mismatch(
+                RollupError, "rollup config", other.config.to_dict(),
+                self.config.to_dict(),
+                "rebuild one side with the same cube geometry",
             )
         self.errors_seen += other.errors_seen
         self.batches += other.batches
@@ -528,11 +528,12 @@ class RollupStore:
     def _import(cls, meta: dict, arrays: dict) -> "RollupStore":
         version = meta.get("schema_version")
         if version != ROLLUP_SCHEMA_VERSION:
-            raise RollupError(
-                f"rollup schema_version mismatch: found {version!r}, "
-                f"expected {ROLLUP_SCHEMA_VERSION}; hint: rebuild the "
-                "snapshot with 'repro query --build' (or re-run the stream "
-                "with --rollups-dir) using this version of the code"
+            raise mismatch(
+                RollupError, "rollup schema_version", repr(version),
+                ROLLUP_SCHEMA_VERSION,
+                "rebuild the snapshot with 'repro query --build' (or re-run "
+                "the stream with --rollups-dir) using this version of the "
+                "code",
             )
         store = cls(RollupConfig.from_dict(meta["config"]))
         c = store.config
@@ -606,8 +607,8 @@ class RollupStore:
         """Atomically persist a new immutable version; returns its number.
 
         Crash ordering: (1) the ``rollup-NNNNNN.npz`` payload is made
-        durable (tmp + data fsync + replace + dir fsync) *before* (2)
-        the manifest is atomically replaced to point at it, and (3) only
+        durable (:func:`~repro._util.atomic_write`) *before* (2) the
+        manifest is atomically replaced to point at it, and (3) only
         then are versions older than :data:`KEEP_VERSIONS` pruned.  A
         crash in any window leaves either the previous manifest naming
         an intact previous payload, or the new manifest naming an intact
@@ -627,11 +628,11 @@ class RollupStore:
             }
         found = RollupConfig.from_dict(manifest["config"])
         if found != self.config:
-            raise RollupError(
-                f"{directory / MANIFEST_NAME}: rollup config mismatch: "
-                f"found {found.to_dict()}, expected {self.config.to_dict()};"
-                " hint: snapshot into a fresh directory or rebuild the"
-                " existing one with the same cube geometry"
+            raise mismatch(
+                RollupError, f"{directory / MANIFEST_NAME}: rollup config",
+                found.to_dict(), self.config.to_dict(),
+                "snapshot into a fresh directory or rebuild the existing "
+                "one with the same cube geometry",
             )
         version = int(manifest["latest"]) + 1
         name = f"rollup-{version:06d}.npz"
@@ -640,13 +641,7 @@ class RollupStore:
             "rollup.snapshot", transient=True,
             attrs={"version": version, "bytes": len(payload)},
         ):
-            tmp = directory / (name + ".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, directory / name)
-            fsync_dir(directory)
+            atomic_write(directory / name, payload)
             manifest["latest"] = version
             manifest["versions"][str(version)] = {
                 "file": name,
@@ -672,13 +667,10 @@ class RollupStore:
                 for v, entry in manifest["versions"].items()
                 if v in keep
             }
-            mtmp = directory / (MANIFEST_NAME + ".tmp")
-            with open(mtmp, "w") as fh:
-                fh.write(json.dumps(manifest, indent=1, sort_keys=True))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(mtmp, directory / MANIFEST_NAME)
-            fsync_dir(directory)
+            atomic_write(
+                directory / MANIFEST_NAME,
+                json.dumps(manifest, indent=1, sort_keys=True).encode(),
+            )
             for name_ in pruned:
                 try:
                     os.unlink(directory / name_)
@@ -713,22 +705,24 @@ class RollupStore:
                 )
             mversion = manifest.get("schema_version")
             if mversion != ROLLUP_SCHEMA_VERSION:
-                raise RollupError(
-                    f"{directory / MANIFEST_NAME}: manifest schema_version "
-                    f"mismatch: found {mversion!r}, expected "
-                    f"{ROLLUP_SCHEMA_VERSION}; hint: rebuild the snapshot "
-                    "with this version of the code ('repro query --build')"
+                raise mismatch(
+                    RollupError,
+                    f"{directory / MANIFEST_NAME}: manifest schema_version",
+                    repr(mversion), ROLLUP_SCHEMA_VERSION,
+                    "rebuild the snapshot with this version of the code "
+                    "('repro query --build')",
                 )
             want = int(manifest["latest"]) if version is None else int(version)
             entry = manifest["versions"].get(str(want))
             if entry is None:
                 held = ", ".join(sorted(manifest["versions"])) or "none"
-                raise RollupError(
-                    f"{directory / MANIFEST_NAME}: rollup snapshot version "
-                    f"mismatch: found versions [{held}], expected {want}; "
-                    "hint: the requested version was pruned or never "
-                    "written -- resume from a newer checkpoint, or rebuild "
-                    "with 'repro query --build'"
+                raise mismatch(
+                    RollupError,
+                    f"{directory / MANIFEST_NAME}: rollup snapshot version",
+                    f"versions [{held}]", want,
+                    "the requested version was pruned or never written -- "
+                    "resume from a newer checkpoint, or rebuild with "
+                    "'repro query --build'",
                 )
             path = directory / entry["file"]
             try:
@@ -742,11 +736,11 @@ class RollupStore:
                 continue
             digest = crc32c(raw)
             if digest != entry["crc32c"]:
-                last_error = RollupError(
-                    f"{path}: rollup digest mismatch: found {digest}, "
-                    f"expected {entry['crc32c']}; hint: the snapshot is "
-                    "torn or corrupt -- re-run the writer or rebuild with "
-                    "'repro query --build'"
+                last_error = mismatch(
+                    RollupError, f"{path}: rollup digest", digest,
+                    entry["crc32c"],
+                    "the snapshot is torn or corrupt -- re-run the writer "
+                    "or rebuild with 'repro query --build'",
                 )
                 continue
             with np.load(io.BytesIO(raw)) as npz:
@@ -754,11 +748,11 @@ class RollupStore:
                 meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
             store = cls._import(meta, arrays)
             if config is not None and store.config != config:
-                raise RollupError(
-                    f"{path}: rollup config mismatch: found "
-                    f"{store.config.to_dict()}, expected {config.to_dict()};"
-                    " hint: rebuild the snapshot with the requested"
-                    " geometry, or drop the overriding flags"
+                raise mismatch(
+                    RollupError, f"{path}: rollup config",
+                    store.config.to_dict(), config.to_dict(),
+                    "rebuild the snapshot with the requested geometry, or "
+                    "drop the overriding flags",
                 )
             return store
         raise last_error  # pragma: no cover - needs a pathological racer

@@ -35,6 +35,7 @@ import signal
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
+from repro._util import atomic_write
 from repro.predict.errors import PredictError
 from repro.serve.state import (
     SERVE_SCHEMA_VERSION,
@@ -213,15 +214,11 @@ class Server:
         host, port = self._server.sockets[0].getsockname()[:2]
         self.port = port
         if self.ready_file is not None:
-            tmp = self.ready_file.with_suffix(self.ready_file.suffix + ".tmp")
-            tmp.write_text(
-                json.dumps(
-                    {"host": host, "port": port, "pid": os.getpid(),
+            # Blocking here stalls no request: no client can know the
+            # port before this file lands.
+            ready = {"host": host, "port": port, "pid": os.getpid(),
                      "model_id": self.state.model.model_id}
-                )
-                + "\n"
-            )
-            tmp.replace(self.ready_file)
+            atomic_write(self.ready_file, (json.dumps(ready) + "\n").encode())
         return host, port
 
     async def serve_forever(self) -> None:

@@ -9,8 +9,7 @@ pipeline's own counters.  Resuming from it replays nothing: bytes
 before the stored offsets are never re-read, so no record is
 double-counted and no alert fires twice.
 
-Writes are atomic: the document lands in a ``.tmp`` sibling first and
-is renamed over ``checkpoint.json`` with :func:`os.replace`, so a crash
+Writes go through :func:`repro._util.atomic_write`, so a crash
 mid-write leaves the previous checkpoint intact.  The schema is
 versioned; loading a checkpoint from a different schema (or a corrupt
 file) raises :class:`CheckpointError` rather than resuming from
@@ -24,7 +23,7 @@ import json
 import os
 from pathlib import Path
 
-from repro._util import fsync_dir
+from repro._util import atomic_write, mismatch
 
 #: Bump on any change to the checkpoint document layout.
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -50,27 +49,16 @@ class CheckpointStore:
         return self.path.exists()
 
     def save(self, state: dict) -> Path:
-        """Atomically persist ``state``; returns the checkpoint path.
+        """Durably persist ``state``; returns the checkpoint path.
 
-        Crash-ordering invariant: (1) the temp file's *data* is fsynced
-        before the rename, so the rename can never expose a
-        half-written document; (2) the *directory* is fsynced after the
-        rename, so a power cut cannot roll the rename itself back and
-        resurface the previous checkpoint after the caller was told the
-        new one is durable.  Either order alone leaves a window where
-        resume-after-crash replays records the pipeline already
-        acknowledged.
+        Written with :func:`~repro._util.atomic_write`: a rename rolled
+        back by a power cut would resurface the previous checkpoint
+        after the caller was told the new one is durable, and resume
+        would replay records the pipeline already acknowledged.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         doc = {"schema_version": CHECKPOINT_SCHEMA_VERSION, **state}
-        tmp = self.path.with_suffix(".json.tmp")
-        payload = json.dumps(doc, indent=1)
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(self.directory)
+        atomic_write(self.path, json.dumps(doc, indent=1).encode())
         return self.path
 
     def load(self) -> dict | None:
@@ -91,10 +79,10 @@ class CheckpointStore:
             )
         version = doc.get("schema_version")
         if version != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"{self.path}: checkpoint schema_version mismatch: found "
-                f"{version!r}, expected {CHECKPOINT_SCHEMA_VERSION}; hint: "
+            raise mismatch(
+                CheckpointError, f"{self.path}: checkpoint schema_version",
+                repr(version), CHECKPOINT_SCHEMA_VERSION,
                 "start over with --no-resume (or delete the checkpoint "
-                "directory) -- checkpoints do not migrate across schemas"
+                "directory) -- checkpoints do not migrate across schemas",
             )
         return doc

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._util import mismatch
 from repro.faults.coalesce import CoalesceOptions
 from repro.logs.ingest import IngestPolicy
 from repro.query.rollup import RollupConfig, RollupStore
@@ -424,19 +425,19 @@ class StreamPipeline:
 
     def _restore(self, state: dict) -> None:
         if state["policy"] != self.policy.value:
-            raise CheckpointError(
-                f"checkpoint policy mismatch: found {state['policy']!r}, "
-                f"expected {self.policy.value!r}; hint: rerun with "
-                f"--ingest-policy {state['policy']}, or start over with "
-                "--no-resume"
+            raise mismatch(
+                CheckpointError, "checkpoint policy", repr(state["policy"]),
+                repr(self.policy.value),
+                f"rerun with --ingest-policy {state['policy']}, or start "
+                "over with --no-resume",
             )
         if int(state["batch_bytes"]) != self.batch_bytes:
-            raise CheckpointError(
-                "checkpoint batch_bytes mismatch: found "
-                f"{state['batch_bytes']}, expected {self.batch_bytes} "
-                "(batch boundaries would diverge); hint: rerun with "
-                f"--batch-bytes {state['batch_bytes']}, or start over "
-                "with --no-resume"
+            raise mismatch(
+                CheckpointError, "checkpoint batch_bytes",
+                state["batch_bytes"],
+                f"{self.batch_bytes} (batch boundaries would diverge)",
+                f"rerun with --batch-bytes {state['batch_bytes']}, or start "
+                "over with --no-resume",
             )
         by_path = {str(t.path): t for t in self.tailers}
         for file_state in state["files"]:
@@ -464,19 +465,22 @@ class StreamPipeline:
     def _restore_rollups(self, saved: dict | None) -> None:
         if self.rollups is None:
             if saved is not None:
-                raise CheckpointError(
-                    "checkpoint rollup mismatch: found rollup snapshot "
-                    f"version {saved['version']} (dir {saved['dir']!r}), "
-                    "expected none; hint: resume with --rollups-dir "
-                    f"{saved['dir']} or start over with --no-resume"
+                raise mismatch(
+                    CheckpointError, "checkpoint rollup",
+                    f"rollup snapshot version {saved['version']} "
+                    f"(dir {saved['dir']!r})",
+                    "none",
+                    f"resume with --rollups-dir {saved['dir']} or start "
+                    "over with --no-resume",
                 )
             return
         if saved is None:
-            raise CheckpointError(
-                "checkpoint rollup mismatch: found no rollup snapshot in "
-                f"the checkpoint, expected one for {self.rollup_dir}; "
-                "hint: resume without --rollups-dir, or start over with "
-                "--no-resume"
+            raise mismatch(
+                CheckpointError, "checkpoint rollup",
+                "no rollup snapshot in the checkpoint",
+                f"one for {self.rollup_dir}",
+                "resume without --rollups-dir, or start over with "
+                "--no-resume",
             )
         directory = self.rollup_dir if self.rollup_dir is not None \
             else Path(saved["dir"])
@@ -485,12 +489,13 @@ class StreamPipeline:
             config=self.rollups.config,
         )
         if loaded.errors_seen != self.coalescer.errors_seen:
-            raise CheckpointError(
-                "checkpoint rollup mismatch: snapshot version "
-                f"{saved['version']} holds {loaded.errors_seen} errors, "
-                f"expected {self.coalescer.errors_seen} (the coalescer's); "
-                "hint: the rollup directory belongs to a different run -- "
-                "start over with --no-resume"
+            raise mismatch(
+                CheckpointError, "checkpoint rollup",
+                f"snapshot version {saved['version']} holding "
+                f"{loaded.errors_seen} errors",
+                f"{self.coalescer.errors_seen} (the coalescer's)",
+                "the rollup directory belongs to a different run -- start "
+                "over with --no-resume",
             )
         loaded.source = "stream"
         loaded.policy = self.policy.value
@@ -500,19 +505,19 @@ class StreamPipeline:
     def _restore_predictor(self, saved: dict | None) -> None:
         if self.scorer is None:
             if saved is not None:
-                raise CheckpointError(
-                    "checkpoint predictor mismatch: found scorer state for "
-                    f"model {saved['model_id']}, expected none; hint: "
+                raise mismatch(
+                    CheckpointError, "checkpoint predictor",
+                    f"scorer state for model {saved['model_id']}", "none",
                     "resume with --predict and the same --model, or start "
-                    "over with --no-resume"
+                    "over with --no-resume",
                 )
             return
         if saved is None:
-            raise CheckpointError(
-                "checkpoint predictor mismatch: found no scorer state in "
-                f"the checkpoint, expected model "
-                f"{self.scorer.model.model_id}; hint: resume without "
-                "--predict, or start over with --no-resume"
+            raise mismatch(
+                CheckpointError, "checkpoint predictor",
+                "no scorer state in the checkpoint",
+                f"model {self.scorer.model.model_id}",
+                "resume without --predict, or start over with --no-resume",
             )
         from repro.predict.errors import PredictError
 
