@@ -15,12 +15,16 @@ routes into the quarantine path instead of the reduction.
 
 The checksum itself is computed without native dependencies at useful
 speed: the register update for one byte is GF(2)-linear, so the payload
-is split into fixed-width chunks whose partial CRCs are computed in
-lock-step with numpy table gathers (one Python iteration per *column*
-of the chunk matrix, not per byte) and then folded together with a
-precomputed "advance by one chunk of zeros" linear operator.  Small
-buffers take a scalar slicing-by-8 path where numpy overhead would
-dominate.  Both paths produce standard CRC-32C values (e.g.
+is split into chunks whose partial CRCs are computed in lock-step with
+numpy table gathers (one Python iteration per 4-byte *column* of the
+chunk matrix, not per byte) and then folded together by a pairwise
+tree of "advance by 2**k zero bytes" linear operators.  The chunk width
+follows the buffer size -- a power of two near ``sqrt(n) / 4`` (64
+bytes at 64 KiB, 256 at 1 MiB, 1 KiB at 16 MiB) -- so the Python loop
+count grows like ``sqrt(n)``, with no fixed per-call floor; the
+operator tables are built on first use and cached, none at import.
+Small buffers take a scalar slicing-by-8 path where numpy overhead
+would dominate.  Both paths produce standard CRC-32C values (e.g.
 ``crc32c(b"123456789") == 0xE3069283``).
 """
 
@@ -36,11 +40,6 @@ from repro._util import atomic_write
 
 #: CRC-32C (Castagnoli), reflected representation.
 _POLY = 0x82F63B78
-
-#: Chunk width for the vectorised path: one Python iteration per byte
-#: column, so wider chunks mean fewer, fatter gathers.  4 KiB keeps the
-#: fold loop (one iteration per chunk) short without needing huge rows.
-_CHUNK = 4096
 
 #: Buffers below this take the scalar path (numpy setup costs more than
 #: it saves on a few KiB).
@@ -136,84 +135,100 @@ def _byte_matrix() -> np.ndarray:
     return cols
 
 
-def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compose two 32-column GF(2) operators (apply ``b``, then ``a``)."""
-    out = np.zeros(32, dtype=np.uint32)
-    for j in range(32):
-        v = int(b[j])
-        acc = 0
-        k = 0
-        while v:
-            if v & 1:
-                acc ^= int(a[k])
-            v >>= 1
-            k += 1
-        out[j] = acc
-    return out
+#: ``_BYTE_BITS[v, b]`` is bit ``b`` of byte value ``v``.
+_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
 
 
 def _operator_tables(mat: np.ndarray) -> np.ndarray:
-    """Expand a GF(2) operator into 4x256 byte-indexed XOR tables."""
-    tables = np.zeros((4, 256), dtype=np.uint32)
-    for byte_idx in range(4):
-        for value in range(256):
-            acc = 0
-            for bit in range(8):
-                if value >> bit & 1:
-                    acc ^= int(mat[byte_idx * 8 + bit])
-            tables[byte_idx, value] = acc
+    """Expand a GF(2) operator into 4x256 byte-indexed XOR tables.
+
+    ``tables[i, v]`` XORs the operator columns selected by the set bits
+    of byte ``i`` of the register holding value ``v``.
+    """
+    cols = mat.astype(np.uint32).reshape(4, 1, 8)
+    picked = np.where(_BYTE_BITS, cols, np.uint32(0))
+    return np.bitwise_xor.reduce(picked, axis=2)
+
+
+def _apply(tables: np.ndarray, regs):
+    """Apply an operator (its :func:`_operator_tables`) to registers."""
+    return (
+        tables[0][regs & 0xFF]
+        ^ tables[1][(regs >> 8) & 0xFF]
+        ^ tables[2][(regs >> 16) & 0xFF]
+        ^ tables[3][regs >> 24]
+    )
+
+
+#: ``level -> tables`` advancing a register past ``2**level`` zero
+#: bytes; filled on first use, never at import.
+_ADVANCE: dict[int, np.ndarray] = {}
+
+_BASIS = np.uint32(1) << np.arange(32, dtype=np.uint32)
+
+
+def _advance_tables(level: int) -> np.ndarray:
+    """Tables applying "advance register past ``2**level`` zero bytes"."""
+    tables = _ADVANCE.get(level)
+    if tables is None:
+        if level == 0:
+            mat = _byte_matrix()
+        else:
+            # Squaring: advancing 2**level bytes is advancing half that
+            # twice; the basis registers' images are the new columns.
+            half = _advance_tables(level - 1)
+            mat = _apply(half, _apply(half, _BASIS))
+        tables = _ADVANCE[level] = _operator_tables(mat)
     return tables
 
 
-def _advance_tables(n_bytes: int) -> np.ndarray:
-    """Tables applying "advance register past ``n_bytes`` zero bytes"."""
-    mat = _byte_matrix()
-    # mat currently advances 1 byte; exponentiate to n_bytes.
-    result = None
-    power = mat
-    n = n_bytes
-    while n:
-        if n & 1:
-            result = power if result is None else _mat_mul(power, result)
-        n >>= 1
-        power = _mat_mul(power, power)
-    assert result is not None
-    return _operator_tables(result)
+def _chunk_width(n: int) -> int:
+    """Chunk width for an ``n``-byte buffer: about sqrt(n) / 4.
 
-
-#: Fold operator for one full chunk of zeros, built once at import.
-_FOLD = _advance_tables(_CHUNK)
-
-
-def _apply_fold(reg: int) -> int:
-    """Advance ``reg`` past one chunk width of zero bytes."""
-    return int(
-        _FOLD[0, reg & 0xFF]
-        ^ _FOLD[1, (reg >> 8) & 0xFF]
-        ^ _FOLD[2, (reg >> 16) & 0xFF]
-        ^ _FOLD[3, (reg >> 24) & 0xFF]
-    )
+    The column loop costs one Python iteration per 4 bytes of width and
+    the fold one per doubling of the chunk count, so the loop count is
+    ~sqrt(n) / 16 + log2(n): a 64 KiB buffer gets 64-byte chunks, 1 MiB
+    256 and 16 MiB 1 KiB.  A power of two (and a multiple of 4, for the
+    word view) so every fold level is one cached table.
+    """
+    return 1 << max(n.bit_length() // 2 - 2, 2)
 
 
 def _update_vector(reg: int, data: np.ndarray) -> int:
     """Advance the register over a large buffer, chunk-parallel.
 
-    The first ``K * _CHUNK`` bytes become a ``K x _CHUNK`` matrix whose
-    per-chunk partial CRCs (zero initial register) are computed with one
-    table gather per byte column; the serial dependency collapses to a
-    ``K``-step fold of 4 table lookups each.  The tail shorter than one
+    The first ``K * w`` bytes (``w`` from :func:`_chunk_width`) become
+    ``K`` rows of little-endian 32-bit words, whose per-row CRCs are
+    computed together, one slicing-by-4 table gather per word column.
+    Row 0 starts from ``reg``, the others from zero.  A pairwise tree
+    then folds the rows: each level advances every left partial past
+    the length of its right neighbour (one cached table per level) and
+    XORs the pair, since the register update is GF(2)-linear.  A zero
+    row prepended to odd levels is neutral.  The tail shorter than one
     chunk finishes on the scalar path.
     """
     n = data.size
-    k = n // _CHUNK
-    body = data[: k * _CHUNK].reshape(k, _CHUNK)
-    t0 = _T[0]
+    w = _chunk_width(n)
+    k = n // w
+    words = np.ascontiguousarray(
+        data[: k * w].view("<u4").reshape(k, w // 4).T
+    )
+    t0, t1, t2, t3 = _T[0], _T[1], _T[2], _T[3]
+    mask = np.uint32(0xFF)
     z = np.zeros(k, dtype=np.uint32)
-    for col in range(_CHUNK):
-        z = t0[(z ^ body[:, col]) & np.uint32(0xFF)] ^ (z >> np.uint32(8))
-    for partial in z.tolist():
-        reg = _apply_fold(reg) ^ int(partial)
-    tail = data[k * _CHUNK :]
+    z[0] = reg
+    for col in words:
+        x = z ^ col
+        z = t3[x & mask] ^ t2[(x >> 8) & mask] ^ t1[(x >> 16) & mask] \
+            ^ t0[x >> 24]
+    level = w.bit_length() - 1
+    while z.size > 1:
+        if z.size & 1:
+            z = np.concatenate([np.zeros(1, dtype=np.uint32), z])
+        z = _apply(_advance_tables(level), z[0::2]) ^ z[1::2]
+        level += 1
+    reg = int(z[0])
+    tail = data[k * w :]
     if tail.size:
         reg = _update_scalar(reg, tail.tobytes())
     return reg

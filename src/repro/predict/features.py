@@ -122,6 +122,9 @@ class FeatureState:
         self._sensor_last: float | None = None
         #: Latest folded CE/HET event time.
         self.watermark: float | None = None
+        #: Nodes and dropout windows folded since :meth:`clear_changes`.
+        self._changed_nodes: set[int] = set()
+        self._changed_windows: set[int] = set()
 
     # ------------------------------------------------------------------
     def _window(self, t: float) -> int:
@@ -170,6 +173,7 @@ class FeatureState:
             st[ends].tolist(), totals.tolist(),
         ):
             self._ce_total[node] = self._ce_total.get(node, 0) + c
+            self._changed_nodes.add(node)
             prev = self._first_time.get(node)
             if prev is None or tmin < prev:
                 self._first_time[node] = tmin
@@ -194,6 +198,7 @@ class FeatureState:
                 d = self._ue[node] = {}
             d[win] = d.get(win, 0) + 1
             self._ue_total[node] = self._ue_total.get(node, 0) + 1
+            self._changed_nodes.add(node)
 
     def observe_sensor_times(self, times: np.ndarray) -> None:
         """Walk fleet sensor sample times, counting cadence dropouts.
@@ -211,6 +216,7 @@ class FeatureState:
             if prev is not None and t - prev > limit:
                 win = self._window(t)
                 self._dropout[win] = self._dropout.get(win, 0) + 1
+                self._changed_windows.add(win)
                 self.dropout_total += 1
             prev = t
         self._sensor_last = prev
@@ -337,26 +343,40 @@ class FeatureState:
         return X
 
     # -- checkpoint (de)serialisation ----------------------------------
-    def to_state(self) -> dict:
+    def to_state(self, changed: bool = False) -> dict:
+        """Checkpoint state; ``changed`` keeps only the nodes and dropout
+        windows folded since :meth:`clear_changes` (a journal delta)."""
+
+        def rows(d: dict, keys: set) -> list:
+            if not changed:
+                return sorted(d.items())
+            return sorted((k, d[k]) for k in keys if k in d)
+
+        nodes, windows = self._changed_nodes, self._changed_windows
         return {
             "config": self.config.to_dict(),
             "ce": [
-                [node, sorted(self._ce[node].items())]
-                for node in sorted(self._ce)
+                [node, sorted(wins.items())]
+                for node, wins in rows(self._ce, nodes)
             ],
-            "ce_total": sorted(self._ce_total.items()),
-            "first_time": sorted(self._first_time.items()),
-            "last_time": sorted(self._last_time.items()),
+            "ce_total": rows(self._ce_total, nodes),
+            "first_time": rows(self._first_time, nodes),
+            "last_time": rows(self._last_time, nodes),
             "ue": [
-                [node, sorted(self._ue[node].items())]
-                for node in sorted(self._ue)
+                [node, sorted(wins.items())]
+                for node, wins in rows(self._ue, nodes)
             ],
-            "ue_total": sorted(self._ue_total.items()),
-            "dropout": sorted(self._dropout.items()),
+            "ue_total": rows(self._ue_total, nodes),
+            "dropout": rows(self._dropout, windows),
             "dropout_total": self.dropout_total,
             "sensor_last": self._sensor_last,
             "watermark": self.watermark,
         }
+
+    def clear_changes(self) -> None:
+        """Mark the current state as checkpointed."""
+        self._changed_nodes.clear()
+        self._changed_windows.clear()
 
     @classmethod
     def from_state(cls, state: dict) -> "FeatureState":

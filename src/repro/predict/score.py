@@ -95,6 +95,8 @@ class OnlineScorer:
         self.state = FeatureState(FeatureConfig(window_s=model.window_s))
         #: node -> re-arm bucket of its last fired alert.
         self._fired: dict[int, int] = {}
+        #: Nodes whose ``_fired`` entry changed since :meth:`clear_changes`.
+        self._changed: set[int] = set()
         self.scored_batches = 0
 
     # ------------------------------------------------------------------
@@ -124,6 +126,7 @@ class OnlineScorer:
             if self._fired.get(node) == bucket:
                 continue
             self._fired[node] = bucket
+            self._changed.add(node)
             alerts.append(
                 {
                     "rule": "predicted_failure",
@@ -151,14 +154,22 @@ class OnlineScorer:
             self.state.observe_sensor_times(np.unique(samples["time"]))
 
     # -- checkpoint (de)serialisation ----------------------------------
-    def to_state(self) -> dict:
+    def to_state(self, changed: bool = False) -> dict:
+        """Checkpoint state; ``changed`` keeps only the entries changed
+        since :meth:`clear_changes` (a journal delta)."""
+        fired = self._changed if changed else self._fired
         return {
             "model_id": self.model.model_id,
             "rearm_s": self.rearm_s,
             "scored_batches": self.scored_batches,
-            "features": self.state.to_state(),
-            "fired": sorted(self._fired.items()),
+            "features": self.state.to_state(changed),
+            "fired": sorted((n, self._fired[n]) for n in fired),
         }
+
+    def clear_changes(self) -> None:
+        """Mark the current state as checkpointed."""
+        self._changed.clear()
+        self.state.clear_changes()
 
     def restore(self, state: dict) -> None:
         if state["model_id"] != self.model.model_id:
@@ -173,3 +184,4 @@ class OnlineScorer:
         self.scored_batches = int(state["scored_batches"])
         self.state = FeatureState.from_state(state["features"])
         self._fired = {int(n): int(b) for n, b in state["fired"]}
+        self._changed = set()

@@ -172,6 +172,8 @@ class AlertEngine:
         self._ce_fired: set[tuple[int, int]] = set()
         #: High-water mark of distinct BMC sample timestamps.
         self._sensor_watermark: float | None = None
+        #: (node, window index) pairs counted since :meth:`clear_changes`.
+        self._changed: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     def observe_errors(
@@ -251,6 +253,7 @@ class AlertEngine:
             key = (int(sn[s]), int(sb[s]))
             prev = self._ce_counts.get(key, 0)
             self._ce_counts[key] = prev + c
+            self._changed.add(key)
             if key in self._ce_fired or prev + c < threshold:
                 continue
             # The (threshold - prev)-th record of this segment crossed.
@@ -320,15 +323,22 @@ class AlertEngine:
         return alerts
 
     # -- checkpoint (de)serialisation ----------------------------------
-    def to_state(self) -> dict:
+    def to_state(self, changed: bool = False) -> dict:
+        """Checkpoint state; ``changed`` keeps only the windows counted
+        since :meth:`clear_changes` (a journal delta)."""
+        # A window fires only once counted, so its fired row rides with
+        # its count row.
+        keys = sorted(self._changed if changed else self._ce_counts)
         return {
             "rules": self.rules.to_dict(),
-            "ce_counts": [
-                [k[0], k[1], v] for k, v in sorted(self._ce_counts.items())
-            ],
-            "ce_fired": [list(k) for k in sorted(self._ce_fired)],
+            "ce_counts": [[k[0], k[1], self._ce_counts[k]] for k in keys],
+            "ce_fired": [list(k) for k in keys if k in self._ce_fired],
             "sensor_watermark": self._sensor_watermark,
         }
+
+    def clear_changes(self) -> None:
+        """Mark the current state as checkpointed."""
+        self._changed.clear()
 
     def restore(self, state: dict) -> None:
         self.rules = AlertRules.from_dict(state["rules"])
@@ -338,6 +348,7 @@ class AlertEngine:
         self._ce_fired = {(int(n), int(b)) for n, b in state["ce_fired"]}
         w = state["sensor_watermark"]
         self._sensor_watermark = None if w is None else float(w)
+        self._changed = set()
 
 
 def read_alerts(path: str | os.PathLike) -> list[dict]:

@@ -106,6 +106,8 @@ class OnlineCoalescer:
         self.options = options or CoalesceOptions()
         self._groups: dict[tuple, _Group] = {}
         self.errors_seen = 0
+        #: Group keys touched since :meth:`clear_changes`.
+        self._changed: set[tuple] = set()
 
     @property
     def key_fields(self) -> tuple[str, ...]:
@@ -184,6 +186,7 @@ class OnlineCoalescer:
             g.cols.add(cols[i])
             g.rows.add(rows[i])
             g.banks.add(banks[i])
+        self._changed.update(touched)
         return created, list(touched)
 
     # ------------------------------------------------------------------
@@ -260,16 +263,23 @@ class OnlineCoalescer:
         return out
 
     # -- checkpoint (de)serialisation ----------------------------------
-    def to_state(self) -> dict:
+    def to_state(self, changed: bool = False) -> dict:
+        """Checkpoint state; ``changed`` keeps only the groups touched
+        since :meth:`clear_changes` (a journal delta)."""
+        keys = self._changed if changed else self._groups
         return {
             "split_banks": self.options.split_banks,
             "row_available": self.options.row_available,
             "errors_seen": self.errors_seen,
             "groups": [
                 [list(key), self._groups[key].to_state()]
-                for key in sorted(self._groups)
+                for key in sorted(keys)
             ],
         }
+
+    def clear_changes(self) -> None:
+        """Mark the current state as checkpointed."""
+        self._changed.clear()
 
     @classmethod
     def from_state(cls, state: dict) -> "OnlineCoalescer":

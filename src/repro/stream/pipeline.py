@@ -16,8 +16,11 @@ dict.  Memory therefore scales with distinct faults, nodes and
 inventory positions, not telemetry volume.
 
 Everything is instrumented with the :mod:`repro.obs` layer:
-``stream.poll`` / ``stream.<family>`` spans, per-family line counters
-and lag gauges, and per-rule alert counters.
+``stream.poll`` / ``stream.<family>`` / ``stream.sink`` /
+``stream.checkpoint`` spans (the last with ``kind`` base or delta and
+the ``bytes`` written), per-family line counters and lag gauges,
+per-rule alert counters, and ``stream.checkpoint.bytes`` /
+``stream.checkpoint.compactions`` counters.
 """
 
 from __future__ import annotations
@@ -33,12 +36,31 @@ from repro.faults.coalesce import CoalesceOptions
 from repro.logs.ingest import IngestPolicy
 from repro.query.rollup import RollupConfig, RollupStore
 from repro.stream.alerts import AlertEngine, AlertRules, AlertSink
-from repro.stream.checkpoint import CheckpointError, CheckpointStore
+from repro.stream.checkpoint import CheckpointError, CheckpointStore, delta_ops
 from repro.stream.online_coalesce import OnlineCoalescer
 from repro.stream.tailer import FAMILY_SPECS, LogTailer, spec_for_path
 
 #: Family polling order (fixed so batch indices are deterministic).
 _FAMILY_ORDER = ("errors", "het", "sensors", "inventory")
+
+#: Keyed row lists of the checkpoint document by path (``"*"``: any list
+#: index), with their key widths (0: append-only).  A journal line holds
+#: only their changed rows; every other field it holds whole.
+_KEYED = {
+    ("files", "*", "quarantine"): 0,
+    ("coalescer", "groups"): 1,
+    ("alert_engine", "ce_counts"): 2,
+    ("alert_engine", "ce_fired"): 2,
+    ("snapshots",): 1,
+    ("predictor", "fired"): 1,
+    **{
+        ("predictor", "features", name): 1
+        for name in (
+            "ce", "ce_total", "first_time", "last_time", "ue", "ue_total",
+            "dropout",
+        )
+    },
+}
 
 
 def discover_files(directory: str | Path) -> list[Path]:
@@ -183,6 +205,10 @@ class StreamPipeline:
             self.scorer = OnlineScorer(predict_model, **kwargs)
         #: Live inventory view: {date: {(component, node, pos): serial}}.
         self.snapshots: dict[str, dict] = {}
+        #: Inventory dates written since the last checkpoint.
+        self._changed_dates: set[str] = set()
+        #: Whether this pipeline has written a base checkpoint yet.
+        self._based = False
         self.batches = 0
         self.alerts_total = 0
 
@@ -231,7 +257,10 @@ class StreamPipeline:
         if not progressed:
             return {"progressed": False, "consumed": {}, "alerts": []}
         if self.sink is not None:
-            self.sink.emit(alerts)
+            with obs.span(
+                "stream.sink", transient=True, attrs={"alerts": len(alerts)}
+            ):
+                self.sink.emit(alerts)
         self.alerts_total += len(alerts)
         obs.count("stream.batches", 1)
         for alert in alerts:
@@ -275,9 +304,11 @@ class StreamPipeline:
             n += len(batch)
             if hasattr(batch, "apply"):
                 batch.apply(self.snapshots)
+                self._changed_dates.update(d for d, _, _ in batch.runs)
             else:
                 for date, key, serial in batch:
                     self.snapshots.setdefault(date, {})[key] = serial
+                    self._changed_dates.add(date)
         return n
 
     def run(
@@ -353,7 +384,7 @@ class StreamPipeline:
         if self.rollups is not None:
             self.rollups.set_faults(self.coalescer.faults())
         if self.store is not None:
-            self.checkpoint()
+            self.checkpoint(base=True)
         elif self.rollups is not None and self.rollup_dir is not None:
             self._rollup_version = self.rollups.snapshot(self.rollup_dir)
         return {
@@ -377,40 +408,74 @@ class StreamPipeline:
         }
 
     # -- checkpoint (de)serialisation ----------------------------------
-    def checkpoint(self) -> None:
+    def checkpoint(self, base: bool = False) -> None:
         """Snapshot the rollups first, then the checkpoint naming them.
 
         Ordering is the crash-consistency contract: the cube snapshot
         version N is durable *before* the checkpoint that references it
         is written, and snapshot N-1 is retained, so whatever checkpoint
         survives a crash always names an intact snapshot.
-        """
-        state = self._state()
-        if self.rollups is not None and self.rollup_dir is not None:
-            self.rollups.set_faults(self.coalescer.faults())
-            version = self.rollups.snapshot(self.rollup_dir)
-            self._rollup_version = version
-            state["rollups"] = {
-                "dir": str(self.rollup_dir),
-                "version": version,
-                "errors_seen": int(self.rollups.errors_seen),
-            }
-        self.store.save(state)
 
-    def _state(self) -> dict:
+        The checkpoint is a full base when ``base`` is set (``finalize``
+        does), on this pipeline's first checkpoint, and when the
+        journal has grown to the base's size; otherwise it is one
+        journal line holding only what changed since the last one.
+        """
+        from repro import obs
+
+        base = base or not self._based or self.store.compaction_due
+        with obs.span(
+            "stream.checkpoint", transient=True,
+            attrs={"kind": "base" if base else "delta"},
+        ) as sp:
+            state = self._state(changed=not base)
+            if self.rollups is not None and self.rollup_dir is not None:
+                self.rollups.set_faults(self.coalescer.faults())
+                version = self.rollups.snapshot(self.rollup_dir)
+                self._rollup_version = version
+                state["rollups"] = {
+                    "dir": str(self.rollup_dir),
+                    "version": version,
+                    "errors_seen": int(self.rollups.errors_seen),
+                }
+            if base:
+                compacting = self.store.journal_bytes > 0
+                self.store.save(state)
+                written = self.store.base_bytes
+                if compacting:
+                    obs.count("stream.checkpoint.compactions", 1)
+            else:
+                written = self.store.append(delta_ops(state, _KEYED))
+            sp.set("bytes", written)
+        obs.count("stream.checkpoint.bytes", written)
+        self._based = True
+        holders = [*self.tailers, self.coalescer, self.engine]
+        if self.scorer is not None:
+            holders.append(self.scorer)
+        for holder in holders:
+            holder.clear_changes()
+        self._changed_dates.clear()
+
+    def _state(self, changed: bool = False) -> dict:
+        """The checkpoint document; ``changed`` keeps only the keyed rows
+        changed since the last checkpoint (see :data:`_KEYED`)."""
         lines_seen = sum(t.stats.seen for t in self.tailers)
+        dates = self._changed_dates if changed else self.snapshots
         return {
             "policy": self.policy.value,
             "batch_bytes": self.batch_bytes,
             "batches": self.batches,
             "alerts_total": self.alerts_total,
-            "files": [t.to_state() for t in self.tailers],
-            "coalescer": self.coalescer.to_state(),
-            "alert_engine": self.engine.to_state(),
+            "files": [t.to_state(changed) for t in self.tailers],
+            "coalescer": self.coalescer.to_state(changed),
+            "alert_engine": self.engine.to_state(changed),
             "alert_sink": None if self.sink is None else self.sink.to_state(),
             "snapshots": [
-                [date, [[c, n, p, s] for (c, n, p), s in sorted(snap.items())]]
-                for date, snap in sorted(self.snapshots.items())
+                [date, [
+                    [c, n, p, s]
+                    for (c, n, p), s in sorted(self.snapshots[date].items())
+                ]]
+                for date in sorted(dates)
             ],
             "metrics": {
                 "lines_seen": lines_seen,
@@ -419,7 +484,7 @@ class StreamPipeline:
             },
             "rollups": None,
             "predictor": (
-                None if self.scorer is None else self.scorer.to_state()
+                None if self.scorer is None else self.scorer.to_state(changed)
             ),
         }
 

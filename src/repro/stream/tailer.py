@@ -15,11 +15,12 @@ byte-for-byte what a batch ingest of the same file would have produced
 
 The one batch behaviour that cannot run incrementally is the ``repair``
 policy's out-of-order re-sort: it needs the whole stream.  The tailer
-instead tracks, per record, the margin by which it arrived behind the
+instead tallies the margins by which records arrived behind the
 running time maximum, and :meth:`~LogTailer.final_stats` applies the
 batch path's exact tolerance arithmetic at the end, so the final
 accounting still matches (live consumers -- the online coalescer, the
-alert rules -- are arrival-order-insensitive by design).
+alert rules -- are arrival-order-insensitive by design).  The tally is
+bounded: see :data:`MARGIN_DECIDED`.
 
 Family specifics (parser, repairer, fast-path chunk parser, container
 type, header handling) come from the :data:`FAMILY_SPECS` registry.
@@ -56,6 +57,15 @@ class TailError(RuntimeError):
     offsets; the operator must restart the tailer (or resume from a
     checkpoint taken before the rotation).
     """
+
+
+#: Every tailed family parses times as whole seconds of an int64 clock,
+#: so ``|t| <= 2**63`` and the re-sort tolerance ``eps * max|t|`` can
+#: never exceed ``eps * 2**63`` (2048 s).  A late margin above this
+#: counts as out of order whatever arrives later, so the tally keeps
+#: one bucket for all of them; below it, margins are whole seconds
+#: too, so at most 2048 distinct values are ever pending.
+MARGIN_DECIDED = float(np.finfo(np.float64).eps * 2.0**63)
 
 
 def _concat_arrays(empty):
@@ -232,12 +242,16 @@ class LogTailer:
         #: Line number the next consumed line will carry.
         self.line_no = 1
         self.header_done = not spec.has_header
-        # Deferred repair-policy re-sort accounting: the margin by
-        # which each record arrived behind the running time maximum,
-        # plus the running maxima the batch tolerance derives from.
+        # Deferred repair-policy re-sort accounting: the running maxima
+        # the batch tolerance derives from, plus a tally {margin: count}
+        # of how far records arrived behind the running time maximum.
+        # The tolerance only grows, so margins at or below it are
+        # dropped, and margins above MARGIN_DECIDED share one bucket.
         self._time_cummax: float | None = None
         self._time_max_abs = 0.0
-        self._late_margins: list[float] = []
+        self._late: dict[float, int] = {}
+        #: Quarantine entries already in a checkpoint.
+        self._quarantine_saved = 0
 
     # ------------------------------------------------------------------
     def lag_bytes(self) -> int:
@@ -337,13 +351,28 @@ class LogTailer:
         before[1:] = prefix[:-1]
         np.maximum(before, before[0], out=before)  # carry-in vs prefix
         margins = before - times
-        late = margins > 0
-        if late.any():
-            self._late_margins.extend(margins[late].tolist())
         self._time_cummax = float(max(before[-1], times[-1]))
         self._time_max_abs = max(
             self._time_max_abs, float(np.max(np.abs(times)))
         )
+        self._tally_late(margins)
+
+    def _tolerance(self) -> float:
+        """The batch re-sort tolerance over the times seen so far."""
+        return float(np.finfo(np.float64).eps * max(self._time_max_abs, 1.0))
+
+    def _tally_late(self, margins: np.ndarray) -> None:
+        """Fold margins into the tally; drop every one now <= the tolerance."""
+        tol = self._tolerance()
+        margins = margins[margins > tol]
+        late = self._late
+        if margins.size:
+            margins[margins > MARGIN_DECIDED] = 2 * MARGIN_DECIDED
+            values, counts = np.unique(margins, return_counts=True)
+            for m, n in zip(values.tolist(), counts.tolist()):
+                late[m] = late.get(m, 0) + n
+        for m in [m for m in late if m <= tol]:
+            del late[m]
 
     def poll(self, eof_flush: bool = False):
         """Consume newly appended complete lines; returns the records.
@@ -411,9 +440,9 @@ class LogTailer:
         polling can continue.
         """
         out = replace(self.stats)
-        if self.policy is IngestPolicy.REPAIR and self._late_margins:
-            tol = np.finfo(np.float64).eps * max(self._time_max_abs, 1.0)
-            out_of_order = sum(1 for m in self._late_margins if m > tol)
+        if self.policy is IngestPolicy.REPAIR and self._late:
+            tol = self._tolerance()
+            out_of_order = sum(n for m, n in self._late.items() if m > tol)
             moved = min(out_of_order, out.parsed)
             out.parsed -= moved
             out.repaired += moved
@@ -427,7 +456,9 @@ class LogTailer:
         return self.quarantine.flush()
 
     # -- checkpoint (de)serialisation ----------------------------------
-    def to_state(self) -> dict:
+    def to_state(self, changed: bool = False) -> dict:
+        """Checkpoint state; ``changed`` keeps only the quarantine entries
+        added since :meth:`clear_changes` (a journal delta)."""
         s = self.stats
         return {
             "path": str(self.path),
@@ -444,13 +475,22 @@ class LogTailer:
             "order": {
                 "cummax": self._time_cummax,
                 "max_abs": self._time_max_abs,
-                "margins": self._late_margins,
+                "margins": [[m, n] for m, n in sorted(self._late.items())],
             },
             "quarantine": (
-                [list(e) for e in self.quarantine.entries]
+                [
+                    list(e) for e in self.quarantine.entries[
+                        self._quarantine_saved if changed else 0:
+                    ]
+                ]
                 if self.quarantine is not None else None
             ),
         }
+
+    def clear_changes(self) -> None:
+        """Mark the current state as checkpointed."""
+        if self.quarantine is not None:
+            self._quarantine_saved = len(self.quarantine.entries)
 
     def restore(self, state: dict) -> None:
         if state["family"] != self.spec.family:
@@ -471,9 +511,18 @@ class LogTailer:
         order = state["order"]
         self._time_cummax = order["cummax"]
         self._time_max_abs = float(order["max_abs"])
-        self._late_margins = [float(m) for m in order["margins"]]
+        self._late = {
+            float(m[0]): int(m[1])
+            for m in order["margins"] if isinstance(m, list)
+        }
+        # Older checkpoints list every margin; they fold into the tally.
+        self._tally_late(np.array(
+            [m for m in order["margins"] if not isinstance(m, list)],
+            dtype=np.float64,
+        ))
         if self.quarantine is not None:
             self.quarantine.entries = [
                 (int(ln), reason, line)
                 for ln, reason, line in (state["quarantine"] or [])
             ]
+            self._quarantine_saved = len(self.quarantine.entries)

@@ -126,3 +126,125 @@ class TestSidecars:
         assert isinstance(clone, ShardIntegrityError)
         assert clone.path == err.path
         assert clone.reason == err.reason
+
+
+def _scalar_crc(data: bytes, value: int = 0) -> int:
+    from repro.logs.integrity import _update_scalar
+
+    return (~_update_scalar((~value) & 0xFFFFFFFF, data)) & 0xFFFFFFFF
+
+
+def _width_boundaries(limit: int) -> list[int]:
+    """Sizes <= limit where the chunk width the rule picks changes.
+
+    The rule reads only the size's bit length, so it can only change at
+    a power of two.
+    """
+    from repro.logs.integrity import _VECTOR_MIN, _chunk_width
+
+    return [_VECTOR_MIN] + [
+        1 << k for k in range(_VECTOR_MIN.bit_length(), limit.bit_length())
+        if _chunk_width(1 << k) != _chunk_width((1 << k) - 1)
+    ]
+
+
+class TestCrc32cKernel:
+    """The vector kernel: size-dependent chunk width, tree fold."""
+
+    @pytest.mark.parametrize("data, want", [
+        # RFC 3720 appendix B.4.
+        (bytes(32), 0x8A9136AA),
+        (b"\xff" * 32, 0x62A8AB43),
+        (bytes(range(32)), 0x46DD794E),
+        (bytes(range(31, -1, -1)), 0x113FDB5C),
+        # Vector-path sizes (values from the scalar path).
+        ((bytes(range(256)) * 274)[:70_000], 0x6C103E99),
+        (bytes(range(256)) * 4096, 0x7D25B26D),
+        ((bytes(range(256)) * 4922)[:1_260_000], 0x75AA802D),
+    ])
+    def test_known_answers(self, data, want):
+        assert crc32c(data) == want
+
+    def test_rule_picks_power_of_two_widths_near_sqrt(self):
+        from repro.logs.integrity import _chunk_width
+
+        for n in (1 << 16, 70_000, 1 << 20, 1_260_000, 1 << 24, 10**9):
+            w = _chunk_width(n)
+            assert w & (w - 1) == 0 and w % 4 == 0
+            assert n ** 0.5 / 16 <= w <= n ** 0.5 / 2
+
+    def test_widths_change_where_expected(self):
+        from repro.logs.integrity import _chunk_width
+
+        assert _width_boundaries(1 << 22) == [
+            1 << 16, 1 << 17, 1 << 19, 1 << 21,
+        ]
+        assert [_chunk_width(n) for n in (1 << 16, 1 << 17, 1 << 19, 1 << 21)] \
+            == [64, 128, 256, 512]
+
+    @pytest.mark.parametrize("edge", [1 << 16, 1 << 17, 1 << 19, 1 << 21])
+    def test_matches_scalar_on_both_sides_of_each_width(self, edge):
+        from repro.logs.integrity import _update_scalar
+
+        rng = np.random.default_rng(edge)
+        data = rng.integers(0, 256, size=edge + 7, dtype=np.uint8).tobytes()
+        for seed in (0, int(rng.integers(0, 1 << 32))):
+            # One scalar pass, extended a byte at a time past the edge.
+            reg = _update_scalar((~seed) & 0xFFFFFFFF, data[: edge - 1])
+            for n in range(edge - 1, edge + 8):
+                if n in (edge - 1, edge, edge + 1, edge + 7):
+                    want = (~reg) & 0xFFFFFFFF
+                    assert crc32c(data[:n], seed) == want, (n, seed)
+                reg = _update_scalar(reg, data[n : n + 1])
+
+    def test_wide_chunks_agree_with_narrow_ones(self):
+        # 8 MiB + 3 takes a wider chunk than its 2 MiB pieces, which the
+        # test above pins to the scalar path.
+        rng = np.random.default_rng(3)
+        data = rng.integers(0, 256, size=(1 << 23) + 3, dtype=np.uint8)
+        data = data.tobytes()
+        chained = 0
+        for i in range(0, len(data), 1 << 21):
+            chained = crc32c(data[i : i + (1 << 21)], chained)
+        assert crc32c(data) == chained
+
+    def test_chained_value_continues_across_paths(self):
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 256, size=400_003, dtype=np.uint8).tobytes()
+        whole = crc32c(data)
+        for split in (1, 65_535, 65_536, 200_001, 400_002):
+            head, tail = data[:split], data[split:]
+            assert crc32c(tail, crc32c(head)) == whole, split
+
+    @pytest.mark.parametrize("make", [
+        lambda raw: np.frombuffer(raw, dtype=np.float64).copy(),
+        lambda raw: np.frombuffer(raw, dtype="<u4").copy(),
+        lambda raw: bytearray(raw),
+        lambda raw: memoryview(raw),
+        lambda raw: __import__("array").array("I", raw),
+    ], ids=["float64", "uint32", "bytearray", "memoryview", "array"])
+    def test_memoryviews_of_non_bytes_buffers(self, make):
+        rng = np.random.default_rng(9)
+        raw = rng.integers(0, 256, size=131_072 + 64, dtype=np.uint8).tobytes()
+        buf = make(raw)
+        assert crc32c(memoryview(buf)) == crc32c(raw) == _scalar_crc(raw)
+
+    def test_import_builds_no_fold_tables(self):
+        import subprocess
+        import sys
+
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import repro.logs.integrity as m; "
+            "print(len(m._ADVANCE), m._T.shape)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        ).stdout.split(None, 1)
+        # Only the slicing tables the scalar path needs; no fold
+        # operator until a large buffer asks for one.
+        assert out == ["0", "(8, 256)\n"]

@@ -1,5 +1,7 @@
 """LogTailer mechanics: partial lines, headers, growth, shrink, gears."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,62 @@ class TestParityWithBatch:
         assert resumed.final_stats().to_dict() == (
             ingest_ce_log(path, policy="repair").stats.to_dict()
         )
+
+
+class TestLateAccounting:
+    """The repair re-sort tally stays bounded and exact."""
+
+    def garbled(self, tmp_path, n=600):
+        lines, _ = ce_lines(n)
+        # One far-future timestamp early on: every later line is late.
+        lines[3] = lines[3].replace(b"2019-06-01", b"2400-01-01", 1)
+        # A few lines a little out of order as well.
+        lines[100], lines[101] = lines[101], lines[100]
+        path = tmp_path / "ce.log"
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def test_checkpoint_does_not_grow_per_late_line(self, tmp_path):
+        path = self.garbled(tmp_path)
+        tailer = make_tailer(path, batch_bytes=2000)
+        sizes = []
+        while tailer.poll() is not None:
+            sizes.append(len(json.dumps(tailer.to_state()["order"])))
+        assert len(sizes) > 20
+        # Every line after the garble is late, yet the tally stays put.
+        assert max(sizes[2:]) <= sizes[2] + 64
+        assert tailer.final_stats().to_dict() == (
+            ingest_ce_log(path, policy="repair").stats.to_dict()
+        )
+
+    def test_restore_accepts_one_margin_per_late_record(self, tmp_path):
+        # Checkpoints written before the tally list bare margins.
+        path = self.garbled(tmp_path)
+        tailer = make_tailer(path, batch_bytes=20_000)
+        tailer.poll()
+        state = json.loads(json.dumps(tailer.to_state()))
+        state["order"]["margins"] = [
+            m for m, n in state["order"]["margins"] for _ in range(n)
+        ]
+        assert len(state["order"]["margins"]) > 50
+        resumed = make_tailer(path, batch_bytes=20_000)
+        resumed.restore(state)
+        assert resumed.to_state()["order"] == tailer.to_state()["order"]
+        while resumed.poll() is not None:
+            pass
+        assert resumed.final_stats().to_dict() == (
+            ingest_ce_log(path, policy="repair").stats.to_dict()
+        )
+
+    def test_margins_that_the_tolerance_may_still_swallow_are_kept(
+        self, tmp_path
+    ):
+        # A 1 s margin counts while max|t| < 2**52 s; a later time past
+        # that makes the tolerance exceed it, as the batch path agrees.
+        tailer = make_tailer(tmp_path / "ce.log")
+        tailer._time_max_abs = 1e9
+        tailer._tally_late(np.array([1.0, 1.0, 5000.0, 1e-9]))
+        assert tailer._late == {1.0: 2, 4096.0: 1}
+        tailer._time_max_abs = 2.0**53
+        tailer._tally_late(np.array([], dtype=np.float64))
+        assert tailer._late == {4096.0: 1}

@@ -10,7 +10,10 @@ For every file it publishes, the recorded history must show
 
 The alert sink is not renamed into place: it is appended to, and the
 stream checkpoint records its byte offset.  Its data must be fsynced
-up to that offset before the checkpoint that counts it is renamed.
+up to that offset before the checkpoint that counts it is renamed or
+appended to the checkpoint journal.  The journal is appended to as
+well: each line is fsynced before the step that wrote it returns, and
+a compaction resets it only after the new base is durable.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ def test_alerts_durable_before_the_checkpoint_counting_them(
 ):
     from repro.logs.syslog import write_ce_log
     from repro.stream import StreamPipeline
-    from repro.stream.checkpoint import CHECKPOINT_NAME
+    from repro.stream.checkpoint import CHECKPOINT_NAME, CheckpointStore
 
     logs = tmp_path / "campaign"
     logs.mkdir()
@@ -217,7 +220,18 @@ def test_alerts_durable_before_the_checkpoint_counting_them(
             counted.append((len(recorder.events), doc["alert_sink"]["offset"]))
         return recorded_replace(src, dst, **kwargs)
 
+    def append(self, ops):
+        # A journal line counts the offset its alert_sink op sets.
+        offset = next(
+            op["value"]["offset"] for op in ops
+            if op["path"] == ["alert_sink"]
+        )
+        counted.append((len(recorder.events), offset))
+        return real_append(self, ops)
+
     monkeypatch.setattr(os, "replace", replace)
+    real_append = CheckpointStore.append
+    monkeypatch.setattr(CheckpointStore, "append", append)
     pipe = StreamPipeline(
         logs, checkpoint_dir=tmp_path / "ckpt", alerts_out=alerts,
         batch_bytes=4096, resume=False,
@@ -233,4 +247,88 @@ def test_alerts_durable_before_the_checkpoint_counting_them(
         )
         assert synced >= offset, (
             f"checkpoint counts {offset} alert bytes, only {synced} fsynced"
+        )
+
+
+def _ce_campaign(tmp_path, n=600):
+    from repro.logs.syslog import write_ce_log
+
+    logs = tmp_path / "campaign"
+    logs.mkdir()
+    write_ce_log(
+        make_errors([bit_error(node=i % 7, t=60.0 * i) for i in range(n)]),
+        logs / "ce.log",
+    )
+    return logs
+
+
+def test_journal_line_fsynced_before_step_returns(tmp_path, monkeypatch):
+    from repro.stream import StreamPipeline
+
+    logs = _ce_campaign(tmp_path)
+    recorder = Recorder(monkeypatch)
+    pipe = StreamPipeline(
+        logs, checkpoint_dir=tmp_path / "ckpt", batch_bytes=4096,
+        resume=False,
+    )
+    journal = pipe.store.journal_path
+    lines = 0
+    while pipe.step()["progressed"]:
+        size = journal.stat().st_size if journal.exists() else 0
+        if not size:
+            continue  # this step wrote a base
+        lines += 1
+        ino = journal.stat().st_ino
+        synced = [
+            ev[3] for ev in recorder.events
+            if ev[:3] == ("fsync", ino, False)
+        ]
+        assert synced and synced[-1] == size, (
+            f"journal is {size} bytes at return, fsynced up to {synced[-1:]}"
+        )
+    assert lines >= 3
+
+
+def test_compaction_resets_the_journal_after_the_base_is_durable(
+    tmp_path, monkeypatch
+):
+    from repro.stream import StreamPipeline
+
+    logs = _ce_campaign(tmp_path)
+    recorder = Recorder(monkeypatch)
+    real_truncate = os.truncate
+
+    def truncate(path, length):
+        recorder.events.append(
+            ("truncate", os.fspath(path), os.path.getsize(path))
+        )
+        return real_truncate(path, length)
+
+    monkeypatch.setattr(os, "truncate", truncate)
+    ckpt = tmp_path / "ckpt"
+    pipe = StreamPipeline(
+        logs, checkpoint_dir=ckpt, batch_bytes=4096, resume=False,
+    )
+    pipe.run()
+    pipe.finalize()
+    dir_ino = os.stat(ckpt).st_ino
+    resets = [
+        i for i, ev in enumerate(recorder.events)
+        if ev[0] == "truncate" and ev[1].endswith("checkpoint.journal")
+        and ev[2] > 0
+    ]
+    assert len(resets) >= 2  # compactions, and the one finalize makes
+    for at in resets:
+        before = recorder.events[:at]
+        base = max(
+            i for i, ev in enumerate(before)
+            if ev[0] == "replace" and ev[2].endswith("checkpoint.json")
+        )
+        assert any(
+            ev[:3] == ("fsync", dir_ino, True) for ev in before[base + 1:]
+        ), "journal reset before the new base's rename was durable"
+        # No journal line was appended between the base and its reset.
+        journal_ino = os.stat(ckpt / "checkpoint.journal").st_ino
+        assert not any(
+            ev[:3] == ("fsync", journal_ino, False) for ev in before[base:]
         )
