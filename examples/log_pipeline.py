@@ -17,14 +17,14 @@ from repro.analysis.replacements import replacement_table
 from repro.faults.classify import mode_counts
 from repro.faults.coalesce import coalesce
 from repro.faults.types import FaultMode
-from repro.logs.bmc import filter_valid_samples, read_bmc_log, write_bmc_log
-from repro.logs.het import read_het_log, write_het_log
+from repro.logs.bmc import filter_valid_samples, ingest_bmc_log, write_bmc_log
+from repro.logs.het import ingest_het_log, write_het_log
 from repro.logs.inventory import (
     InventoryModel,
     replacements_from_snapshot_file,
     write_inventory_snapshots,
 )
-from repro.logs.syslog import read_ce_log, write_ce_log
+from repro.logs.syslog import ingest_ce_log, write_ce_log
 from repro.synth import CampaignGenerator
 from repro.synth.replacements import Component
 
@@ -37,7 +37,7 @@ def main() -> None:
     # 1. Syslog CE records -> parse -> coalesce -> fault modes.
     ce_path = workdir / "ce.log"
     n = write_ce_log(campaign.errors, ce_path)
-    parsed = read_ce_log(ce_path)
+    parsed = ingest_ce_log(ce_path, policy="skip", quarantine=False)
     print(f"\nCE log: wrote {n} lines, parsed {parsed.errors.size} "
           f"({parsed.n_malformed} malformed)")
     faults = coalesce(parsed.errors)
@@ -63,7 +63,7 @@ def main() -> None:
     bmc_path = workdir / "bmc.csv"
     t0, _ = campaign.calibration.sensor_window
     write_bmc_log(bmc_path, campaign.sensors, [0, 1, 2, 3], t0, t0 + DAY_S)
-    samples = read_bmc_log(bmc_path)
+    samples, _ = ingest_bmc_log(bmc_path, policy="strict", quarantine=False)
     valid, excluded = filter_valid_samples(samples)
     print(f"\nBMC log: {samples.size} samples, {excluded:.2%} excluded as invalid")
     temps = valid[valid["sensor"] < 6]["value"]
@@ -72,7 +72,7 @@ def main() -> None:
     # 4. HET lines -> DUE subset.
     het_path = workdir / "het.log"
     write_het_log(campaign.het, het_path)
-    het = read_het_log(het_path)
+    het, _ = ingest_het_log(het_path, policy="strict", quarantine=False)
     print(f"\nHET log: {het.size} events, "
           f"{int(het['non_recoverable'].sum())} NON-RECOVERABLE")
 

@@ -30,4 +30,17 @@ Quickstart::
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
+
+class ReproError(Exception):
+    """Root of every refusal the program reports to an operator.
+
+    Each user-facing typed error (ingest, integrity, fleet, ledger,
+    checkpoint, tail, rollup, query, predict, serve) subclasses it next
+    to its builtin base, so the CLI maps all of them to one
+    ``error: ...`` line and exit 2 while existing ``except ValueError``
+    / ``except RuntimeError`` ladders keep working.  Kept here, free of
+    imports, so ``import repro.cli`` loads no subsystem.
+    """
+
+
+__all__ = ["ReproError", "__version__"]

@@ -45,12 +45,20 @@ on dirty telemetry.
 Repeated ``experiment``/``analyze`` invocations reuse the campaign
 cache (``--cache-dir``, default ``~/.cache/astra-memrepro`` or
 ``$ASTRA_MEMREPRO_CACHE_DIR``); ``--no-cache`` disables it.
+
+Every verb shares one plumbing, in :func:`main` and :func:`_dispatch`:
+output-path flags are checked before the verb runs, any
+:class:`~repro.ReproError` or ``OSError`` becomes one ``error: ...``
+line and exit 2, and ``--trace-out``/``--metrics-out`` are written once
+the verb returns 0 or 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from repro import ReproError
 
 
 def _add_common_gen_args(parser: argparse.ArgumentParser) -> None:
@@ -60,6 +68,45 @@ def _add_common_gen_args(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=1.0,
         help="volume scale; 1.0 = the paper's 4.37M CEs",
+    )
+
+
+def _add_obs_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace-out", metavar="PATH", default=None,
+        help="enable tracing and write the span tree (wall/CPU time and "
+        "record counts per span) as JSON to PATH",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="PATH", default=None,
+        help="write the metrics registry (counters, gauges, latency "
+        "histograms) as JSON to PATH",
+    )
+
+
+def _add_json_arg(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--json", action="store_true",
+        help=f"emit {what} as JSON on stdout instead of the human-readable "
+        "report",
+    )
+
+
+def _add_jobs_arg(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--jobs", type=int, default=0,
+        help=f"{what} in N parallel workers (0/1 = serial; byte-identical "
+        "to serial)",
+    )
+
+
+def _add_policy_arg(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument(
+        "--ingest-policy", choices=("strict", "repair", "skip"),
+        default=default,
+        help="how to treat unparseable telemetry: strict raises a typed "
+        "error, repair salvages and re-sorts what it can, skip "
+        f"quarantines silently (default {default})",
     )
 
 
@@ -81,12 +128,7 @@ def _add_predict_gate_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="run experiments in N parallel worker processes (0/1 = serial)",
-    )
+    _add_jobs_arg(parser, "run experiments")
     parser.add_argument(
         "--json-report",
         metavar="PATH",
@@ -127,14 +169,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         help="skip experiments whose input telemetry coverage is below "
         "this fraction (status skipped-insufficient-data; default 0.5)",
     )
-    parser.add_argument(
-        "--ingest-policy",
-        choices=("strict", "repair", "skip"),
-        default="strict",
-        help="how to treat unparseable telemetry: strict raises a typed "
-        "error, repair salvages and re-sorts what it can, skip "
-        "quarantines silently (default strict)",
-    )
+    _add_policy_arg(parser, "strict")
     parser.add_argument(
         "--inject",
         choices=("light", "moderate", "hostile"),
@@ -150,36 +185,13 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         default=0,
         help="RNG seed for --inject (same seed = identical corruption)",
     )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="enable tracing and write the span tree (ingest, coalesce, "
-        "cache, per-experiment spans with wall/CPU time and record "
-        "counts) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write the metrics registry (counters, gauges, latency "
-        "histograms) as JSON to PATH",
-    )
+    _add_obs_args(parser)
     parser.add_argument(
         "--profile",
         action="store_true",
         help="wrap each experiment body in cProfile and print per-"
         "experiment hotspot tables (adds overhead; off by default)",
     )
-
-
-#: Every registered subcommand, shared by the parser and the friendly
-#: unknown-command pre-check in :func:`main`.
-_COMMANDS = (
-    "synth", "analyze", "experiment", "stream", "fleet", "query",
-    "mitigate", "whatif", "predict", "serve", "validate", "release",
-    "list",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,11 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--faults-out", default=None, metavar="PATH",
         help="write the final live fault array to PATH as .npy",
     )
-    p_stream.add_argument(
-        "--ingest-policy", choices=("strict", "repair", "skip"),
-        default="repair",
-        help="how to treat unparseable telemetry (default repair)",
-    )
+    _add_policy_arg(p_stream, "repair")
     p_stream.add_argument(
         "--ce-rate-threshold", type=int, default=100, metavar="N",
         help="CE count per node per window that trips the ce_rate alert",
@@ -282,24 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ce-rate-window", type=float, default=3600.0, metavar="SECONDS",
         help="epoch-aligned window width for the ce_rate alert",
     )
-    p_stream.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="enable tracing and write stream.* spans as JSON to PATH",
-    )
-    p_stream.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write stream counters/gauges as JSON to PATH",
-    )
+    _add_obs_args(p_stream)
     p_stream.add_argument(
         "--rollups-dir", default=None, metavar="DIR",
         help="maintain rollup cubes incrementally and snapshot them here "
         "(versioned + atomic; query later with 'query --rollups DIR')",
     )
-    p_stream.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable JSON summary on stdout instead "
-        "of the human-readable report",
-    )
+    _add_json_arg(p_stream, "one run summary")
     p_stream.add_argument(
         "--predict", action="store_true",
         help="mount the online failure predictor: re-score every CE "
@@ -338,10 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-cluster volume scale; 1.0 = the paper's 4.37M CEs "
         "per cluster",
     )
-    p_fleet.add_argument(
-        "--jobs", type=int, default=0,
-        help="process shards in N parallel workers (0/1 = serial)",
-    )
+    _add_jobs_arg(p_fleet, "process shards")
     p_fleet.add_argument(
         "--source", choices=("auto", "shards", "binary", "text"),
         default="auto",
@@ -372,17 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a machine-readable fleet report (schemas/"
         "fleet.schema.json) to PATH",
     )
+    _add_policy_arg(p_fleet, "repair")
     p_fleet.add_argument(
-        "--ingest-policy", choices=("strict", "repair", "skip"),
-        default="repair",
-        help="ingest policy for --source text (default repair)",
+        "--json-report", metavar="PATH", default=None,
+        help="also write a JSON run report for --exp to PATH",
     )
-    for flag, help_text in (
-        ("--json-report", "also write a JSON run report for --exp to PATH"),
-        ("--trace-out", "enable tracing and write the span tree to PATH"),
-        ("--metrics-out", "write the metrics registry as JSON to PATH"),
-    ):
-        p_fleet.add_argument(flag, metavar="PATH", default=None, help=help_text)
+    _add_obs_args(p_fleet)
     p_fleet.add_argument(
         "--cache-dir", default=None,
         help="campaign cache directory used during synthesis",
@@ -432,11 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "exactly during the reduction, and snapshot the fleet-wide "
         "store here (query later with 'query --rollups DIR')",
     )
-    p_fleet.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable JSON summary on stdout instead "
-        "of the human-readable report (not combinable with --exp)",
-    )
+    _add_json_arg(p_fleet, "one fleet summary (not with --exp)")
 
     p_query = sub.add_parser(
         "query",
@@ -509,21 +494,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "of the raw records and assert element-for-element identity "
         "(exit 1 on any divergence)",
     )
-    p_query.add_argument(
-        "--ingest-policy", choices=("strict", "repair", "skip"),
-        default="repair",
-        help="ingest policy for --build, and for --check when the "
-        "snapshot predates policy recording (default repair)",
-    )
-    p_query.add_argument(
-        "--json", action="store_true",
-        help="emit the answer document as JSON on stdout",
-    )
-    for flag, help_text in (
-        ("--trace-out", "enable tracing and write query.* spans to PATH"),
-        ("--metrics-out", "write query counters as JSON to PATH"),
-    ):
-        p_query.add_argument(flag, metavar="PATH", default=None, help=help_text)
+    _add_policy_arg(p_query, "repair")
+    _add_json_arg(p_query, "the answer document")
+    _add_obs_args(p_query)
 
     p_mit = sub.add_parser(
         "mitigate", help="run the mitigation simulators on a campaign"
@@ -565,13 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="exclude-list CE budget applied to every scenario; 0 = off",
     )
-    p_whatif.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="replay policy groups in N parallel workers (0/1 = serial; "
-        "byte-identical to serial)",
-    )
+    _add_jobs_arg(p_whatif, "replay policy groups")
     p_whatif.add_argument(
         "--fleet",
         metavar="DIR",
@@ -600,11 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="downsample size for --check (default 20000)",
     )
-    for flag, help_text in (
-        ("--trace-out", "enable tracing and write the span tree to PATH"),
-        ("--metrics-out", "write the metrics registry as JSON to PATH"),
-    ):
-        p_whatif.add_argument(flag, metavar="PATH", default=None, help=help_text)
+    _add_obs_args(p_whatif)
 
     p_predict = sub.add_parser(
         "predict",
@@ -640,20 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="false-positive budget the alert threshold is set at "
         "(default 0.01)",
     )
-    p_ptrain.add_argument(
-        "--jobs", type=int, default=0,
-        help="build per-seed datasets in N parallel workers (0/1 = "
-        "serial; byte-identical to serial)",
-    )
-    p_ptrain.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the eval report (schemas/predict.schema.json) to PATH",
-    )
-    _add_predict_gate_args(p_ptrain)
-    p_ptrain.add_argument(
-        "--json", action="store_true",
-        help="emit the eval report as JSON on stdout",
-    )
 
     p_peval = predict_sub.add_parser(
         "eval",
@@ -676,19 +625,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target-fpr", type=float, default=None, metavar="F",
         help="false-positive budget (default: recorded in the artifact)",
     )
-    p_peval.add_argument(
-        "--jobs", type=int, default=0,
-        help="build per-seed datasets in N parallel workers",
-    )
-    p_peval.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the eval report (schemas/predict.schema.json) to PATH",
-    )
-    _add_predict_gate_args(p_peval)
-    p_peval.add_argument(
-        "--json", action="store_true",
-        help="emit the eval report as JSON on stdout",
-    )
+    for p in (p_ptrain, p_peval):
+        _add_jobs_arg(p, "build per-seed datasets")
+        p.add_argument(
+            "--report", metavar="PATH", default=None,
+            help="write the eval report (schemas/predict.schema.json) to PATH",
+        )
+        _add_predict_gate_args(p)
+        _add_json_arg(p, "the eval report")
 
     p_pscore = predict_sub.add_parser(
         "score",
@@ -710,30 +654,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=10, metavar="K",
         help="print the K highest-risk nodes (default 10)",
     )
-    p_pscore.add_argument(
-        "--jobs", type=int, default=0,
-        help="extract features in N parallel workers (0/1 = serial; "
-        "byte-identical to serial)",
-    )
+    _add_jobs_arg(p_pscore, "extract features")
     p_pscore.add_argument(
         "--scores-out", metavar="PATH", default=None,
         help="write the full (node, score) table as JSON to PATH",
     )
-    p_pscore.add_argument(
-        "--ingest-policy", choices=("strict", "repair", "skip"),
-        default="repair",
-        help="how to treat unparseable telemetry (default repair)",
-    )
-    p_pscore.add_argument(
-        "--json", action="store_true",
-        help="emit the score table as JSON on stdout",
-    )
+    _add_policy_arg(p_pscore, "repair")
+    _add_json_arg(p_pscore, "the score table")
     for p in (p_ptrain, p_peval, p_pscore):
-        for flag, help_text in (
-            ("--trace-out", "enable tracing and write predict.* spans to PATH"),
-            ("--metrics-out", "write predict counters as JSON to PATH"),
-        ):
-            p.add_argument(flag, metavar="PATH", default=None, help=help_text)
+        _add_obs_args(p)
 
     p_serve = sub.add_parser(
         "serve",
@@ -772,15 +701,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write {host, port, pid, model_id} as JSON once accepting "
         "(how tests and the bench discover an ephemeral port)",
     )
-    p_serve.add_argument(
-        "--ingest-policy", choices=("strict", "repair", "skip"),
-        default="repair",
-        help="how to treat unparseable telemetry (default repair)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=int, default=0,
-        help="fold the campaign in N parallel workers at startup",
-    )
+    _add_policy_arg(p_serve, "repair")
+    _add_jobs_arg(p_serve, "fold the campaign at startup")
 
     p_val = sub.add_parser(
         "validate", help="check a campaign against the calibration targets"
@@ -824,21 +746,6 @@ def _resolve_exp_ids(exp_ids):
         )
         raise SystemExit(2)
     return list(exp_ids)
-
-
-def _validate_json_report(json_report) -> None:
-    """Fail fast (exit 2) on an unwritable --json-report destination."""
-    from pathlib import Path
-
-    if not json_report:
-        return
-    parent = Path(json_report).resolve().parent
-    if not parent.is_dir():
-        print(
-            f"error: --json-report directory does not exist: {parent}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
 
 
 def _make_cache(cache_dir):
@@ -892,36 +799,29 @@ def _inject_campaign(source, profile: str, inject_seed: int, policy: str):
 
 
 def _run_experiments(
-    campaign,
-    exp_ids,
-    jobs: int = 0,
-    json_report=None,
-    cache_outcome=None,
-    campaign_dir=None,
-    timeout=None,
-    retries: int = 1,
-    min_coverage: float = 0.0,
-    ingest_policy: str | None = None,
+    args, campaign, exp_ids, cache_outcome=None, campaign_dir=None,
     injection=None,
-    trace_out=None,
-    metrics_out=None,
 ) -> int:
+    """Run ``exp_ids`` over ``campaign`` and print/write the run report.
+
+    ``fleet --exp`` has no run-budget flags; it runs with the runner's
+    defaults for them.
+    """
     from repro import obs
     from repro.run import ExperimentRunner
 
-    _validate_json_report(json_report)
     exp_ids = _resolve_exp_ids(exp_ids)
     runner = ExperimentRunner(
-        jobs=jobs,
+        jobs=args.jobs,
         campaign_dir=campaign_dir,
-        timeout_s=timeout,
-        retries=retries,
-        min_coverage=min_coverage,
+        timeout_s=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", 1),
+        min_coverage=getattr(args, "min_coverage", 0.0),
     )
     results, report = runner.run(campaign, exp_ids)
     if cache_outcome is not None:
         report.cache = cache_outcome.to_dict()
-    report.ingest_policy = ingest_policy
+    report.ingest_policy = args.ingest_policy
     if injection is not None:
         report.injection = injection.to_dict()
     # Observability section (report schema v3): the metrics snapshot is
@@ -943,106 +843,141 @@ def _run_experiments(
         print(obs.render_profiles())
         print()
     print(report.summary())
-    if json_report:
-        report.write(json_report)
-        print(f"wrote JSON run report to {json_report}")
-    if trace_out:
-        obs.write_trace(trace_out)
-        print(f"wrote trace to {trace_out}")
-    if metrics_out:
-        obs.write_metrics(metrics_out)
-        print(f"wrote metrics to {metrics_out}")
+    if args.json_report:
+        report.write(args.json_report)
+        print(f"wrote JSON run report to {args.json_report}")
     return 0 if report.all_pass else 1
 
 
-def main(argv=None) -> int:
-    """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Friendly unknown-subcommand handling (same convention as unknown
-    # experiment ids): a clear error plus the known vocabulary, exit 2,
-    # instead of argparse's bare usage dump.
-    first = next((a for a in argv if not a.startswith("-")), None)
-    if first is not None and first not in _COMMANDS:
-        print(
-            f"error: unknown command {first!r}\n"
-            f"known commands: {', '.join(_COMMANDS)}\n"
-            "hint: 'astra-memrepro --help' shows usage",
-            file=sys.stderr,
+def _run_list(args) -> int:
+    from repro.experiments import list_experiments
+
+    for exp_id, title in list_experiments(include_extensions=True):
+        print(f"{exp_id:<12} {title}")
+    return 0
+
+
+def _run_synth(args) -> int:
+    from repro.logs.campaign_io import write_campaign
+    from repro.synth import CampaignGenerator
+
+    campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
+    directory = write_campaign(
+        campaign, args.out, text_logs=args.text_logs, shards=args.shards
+    )
+    print(
+        f"wrote campaign (seed={args.seed}, scale={args.scale}, "
+        f"{campaign.n_errors} CEs) to {directory}"
+    )
+    return 0
+
+
+def _run_analyze(args) -> int:
+    from repro.logs.campaign_io import (
+        campaign_from_records,
+        load_campaign_records,
+    )
+
+    # Validate the ids before the expensive campaign load / coalescing.
+    exp_ids = _resolve_exp_ids(args.exp)
+    outcome = None
+    injection = None
+    campaign_dir = args.directory
+    if args.inject:
+        campaign, injection = _inject_campaign(
+            args.directory, args.inject, args.inject_seed, args.ingest_policy
         )
-        return 2
-    args = _build_parser().parse_args(argv)
+        # Workers re-loading the corrupted directory under the default
+        # strict policy would fail; ship the repaired campaign instead.
+        campaign_dir = None
+    else:
+        records = load_campaign_records(args.directory, policy=args.ingest_policy)
+        clean = all(s.source == "binary" for s in records.ingest.values())
+        if not clean:
+            campaign_dir = None
+        if args.no_cache or not clean:
+            # Degraded loads stay out of the campaign cache: an entry
+            # keyed only by (seed, scale) must never serve partial data
+            # to a later clean run.
+            campaign = campaign_from_records(records)
+        else:
+            campaign, outcome = _make_cache(args.cache_dir).warm_from_records(
+                records
+            )
+    if args.rollups:
+        from repro.query import RollupStore
 
-    from repro.logs.ingest import IngestError
-
-    try:
-        return _dispatch(args)
-    except IngestError as exc:
-        # Typed telemetry failures (malformed records under --ingest-policy
-        # strict, unrecoverable campaign directories) exit cleanly instead
-        # of dumping a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        campaign.rollups = RollupStore.load(args.rollups)
+    return _run_experiments(
+        args, campaign, exp_ids, outcome, campaign_dir, injection
+    )
 
 
-def _run_stream(args, trace_out, metrics_out) -> int:
+def _run_experiment(args) -> int:
+    exp_ids = _resolve_exp_ids(None if args.all else args.exp)
+    outcome = None
+    injection = None
+    campaign_dir = None
+    if args.no_cache:
+        from repro.synth import CampaignGenerator
+
+        campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
+    else:
+        campaign, outcome = _make_cache(args.cache_dir).get_or_generate(
+            seed=args.seed, scale=args.scale
+        )
+        campaign_dir = outcome.path
+    if args.inject:
+        # Harness self-test: write the campaign out (text logs and
+        # all), corrupt the copy, and re-ingest it under the policy.
+        campaign, injection = _inject_campaign(
+            campaign, args.inject, args.inject_seed, args.ingest_policy
+        )
+        campaign_dir = None
+    return _run_experiments(
+        args, campaign, exp_ids, outcome, campaign_dir, injection
+    )
+
+
+def _run_stream(args) -> int:
     """The ``stream`` verb: drive a StreamPipeline over a directory."""
     import numpy as np
 
-    from repro import obs
-    from repro.predict.errors import PredictError
     from repro.stream import StreamPipeline
     from repro.stream.alerts import AlertRules
-    from repro.stream.checkpoint import CheckpointError
-    from repro.stream.tailer import TailError
 
-    for path in (args.alerts_out, args.faults_out):
-        _validate_json_report(path)
     model = None
     if args.predict:
         from repro.predict.model import Model
 
         if not args.model:
-            print(
-                "error: --predict needs --model pointing at a trained "
+            raise ReproError(
+                "--predict needs --model pointing at a trained "
                 "artifact; hint: 'predict train --out model.json' "
-                "produces one",
-                file=sys.stderr,
+                "produces one"
             )
-            return 2
-        try:
-            model = Model.load(args.model)
-        except PredictError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        model = Model.load(args.model)
     elif args.model:
-        print(
-            "error: --model does nothing without --predict; hint: add "
-            "--predict to mount the online scorer",
-            file=sys.stderr,
+        raise ReproError(
+            "--model does nothing without --predict; hint: add "
+            "--predict to mount the online scorer"
         )
-        return 2
-    try:
-        pipeline = StreamPipeline(
-            directory=args.directory,
-            policy=args.ingest_policy,
-            checkpoint_dir=args.checkpoint_dir,
-            alerts_out=args.alerts_out,
-            batch_bytes=args.batch_bytes,
-            checkpoint_every=args.checkpoint_every,
-            rules=AlertRules(
-                ce_rate_threshold=args.ce_rate_threshold,
-                ce_rate_window_s=args.ce_rate_window,
-            ),
-            resume=not args.no_resume,
-            rollup_dir=args.rollups_dir,
-            predict_model=model,
-            predict_rearm_s=args.predict_rearm,
-        )
-    except (ValueError, CheckpointError) as exc:
-        # No tailable files, or an incompatible checkpoint: exit cleanly
-        # instead of dumping a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pipeline = StreamPipeline(
+        directory=args.directory,
+        policy=args.ingest_policy,
+        checkpoint_dir=args.checkpoint_dir,
+        alerts_out=args.alerts_out,
+        batch_bytes=args.batch_bytes,
+        checkpoint_every=args.checkpoint_every,
+        rules=AlertRules(
+            ce_rate_threshold=args.ce_rate_threshold,
+            ce_rate_window_s=args.ce_rate_window,
+        ),
+        resume=not args.no_resume,
+        rollup_dir=args.rollups_dir,
+        predict_model=model,
+        predict_rearm_s=args.predict_rearm,
+    )
     if pipeline.batches and not args.json:
         print(f"resumed from checkpoint at batch {pipeline.batches}")
 
@@ -1055,19 +990,12 @@ def _run_stream(args, trace_out, metrics_out) -> int:
             line += f"; {len(summary['alerts'])} alert(s)"
         print(line)
 
-    try:
-        run_info = pipeline.run(
-            max_batches=args.max_batches,
-            follow=args.follow,
-            poll_interval=args.poll_interval,
-            progress=None if args.json else progress,
-        )
-    except (TailError, PredictError) as exc:
-        # Mid-stream rotation/truncation (and a predictor refusing
-        # foreign fleet geometry) carry their own recovery hints;
-        # surface them as clean operational errors, not tracebacks.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    run_info = pipeline.run(
+        max_batches=args.max_batches,
+        follow=args.follow,
+        poll_interval=args.poll_interval,
+        progress=None if args.json else progress,
+    )
     summary = pipeline.finalize()
     if args.json:
         import json
@@ -1112,14 +1040,6 @@ def _run_stream(args, trace_out, metrics_out) -> int:
         np.save(args.faults_out, pipeline.coalescer.faults())
         if not args.json:
             print(f"wrote faults to {args.faults_out}")
-    if trace_out:
-        obs.write_trace(trace_out)
-        if not args.json:
-            print(f"wrote trace to {trace_out}")
-    if metrics_out:
-        obs.write_metrics(metrics_out)
-        if not args.json:
-            print(f"wrote metrics to {metrics_out}")
     return 0
 
 
@@ -1188,30 +1108,13 @@ def _emit_predict_report(report: dict, args, extra_lines=()) -> int:
     return 1 if failures else 0
 
 
-def _run_predict(args, trace_out, metrics_out) -> int:
+def _run_predict(args) -> int:
     """The ``predict`` verb: train / eval / score."""
-    from repro import obs
-    from repro.predict import PredictError
-
-    try:
-        if args.predict_command == "train":
-            code = _predict_train(args)
-        elif args.predict_command == "eval":
-            code = _predict_eval(args)
-        else:
-            code = _predict_score(args)
-    except PredictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if trace_out:
-        obs.write_trace(trace_out)
-        if not args.json:
-            print(f"wrote trace to {trace_out}")
-    if metrics_out:
-        obs.write_metrics(metrics_out)
-        if not args.json:
-            print(f"wrote metrics to {metrics_out}")
-    return code
+    return {
+        "train": _predict_train,
+        "eval": _predict_eval,
+        "score": _predict_score,
+    }[args.predict_command](args)
 
 
 def _predict_train(args) -> int:
@@ -1225,7 +1128,6 @@ def _predict_train(args) -> int:
         tuple(_parse_axis(args.eval_seeds, int, "--eval-seeds"))
         if args.eval_seeds else EVAL_SEEDS
     )
-    _validate_json_report(args.report)
     model, report = train_and_evaluate(
         train_seeds=train_seeds,
         eval_seeds=eval_seeds,
@@ -1242,20 +1144,10 @@ def _predict_train(args) -> int:
 
 
 def _predict_eval(args) -> int:
-    from repro.predict import (
-        DatasetConfig,
-        build_seed_datasets,
-        evaluate,
-    )
-    from repro.predict.errors import PredictError
+    from repro.predict import DatasetConfig, PredictError, build_seed_datasets
     from repro.predict.model import Model
-    from repro.predict.train import (
-        EVAL_SEEDS,
-        REPORT_SCHEMA_VERSION,
-        _split_stats,
-    )
+    from repro.predict.train import EVAL_SEEDS, eval_report
 
-    _validate_json_report(args.report)
     model = Model.load(args.model)
     trained = model.trained
     seeds = (
@@ -1263,8 +1155,9 @@ def _predict_eval(args) -> int:
         if args.seeds
         else tuple(trained.get("eval_seeds", EVAL_SEEDS))
     )
-    train_seeds = set(map(int, trained.get("train_seeds", ())))
-    overlap = train_seeds & set(map(int, seeds))
+    overlap = set(map(int, trained.get("train_seeds", ()))) & set(
+        map(int, seeds)
+    )
     if overlap:
         raise PredictError(
             f"eval seeds {sorted(overlap)} were in the model's training "
@@ -1281,23 +1174,7 @@ def _predict_eval(args) -> int:
         if "dataset" in trained else DatasetConfig()
     )
     ds = build_seed_datasets(seeds, scale, config, args.jobs)
-    results = evaluate(model, ds, target_fpr)
-    report = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "kind": "predict-eval",
-        "model_id": model.model_id,
-        "target_fpr": float(target_fpr),
-        "scale": float(scale),
-        "config": config.to_dict(),
-        "train": {
-            "seeds": sorted(train_seeds),
-            "rows": int(trained.get("rows", 0)),
-            "positives": int(trained.get("positives", 0)),
-            "unseeable": 0,
-        },
-        "eval": _split_stats(ds, seeds),
-        **results,
-    }
+    report = eval_report(model, ds, seeds, target_fpr, scale, config)
     return _emit_predict_report(report, args)
 
 
@@ -1308,7 +1185,6 @@ def _predict_score(args) -> int:
     from repro.predict import score_records
     from repro.predict.model import Model
 
-    _validate_json_report(args.scores_out)
     model = Model.load(args.model)
     records = load_campaign_records(
         args.directory, policy=args.ingest_policy
@@ -1350,24 +1226,18 @@ def _predict_score(args) -> int:
     return 0
 
 
-def _run_serve(args, trace_out, metrics_out) -> int:
+def _run_serve(args) -> int:
     """The ``serve`` verb: warm state + the asyncio HTTP front door."""
-    from repro.predict import PredictError
-    from repro.query import RollupError
     from repro.serve import ServeState, run as serve_run
 
-    try:
-        state = ServeState.build(
-            args.model,
-            directory=args.directory,
-            rollups_dir=args.rollups,
-            alerts_path=args.alerts,
-            policy=args.ingest_policy,
-            jobs=args.jobs,
-        )
-    except (PredictError, RollupError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    state = ServeState.build(
+        args.model,
+        directory=args.directory,
+        rollups_dir=args.rollups,
+        alerts_path=args.alerts,
+        policy=args.ingest_policy,
+        jobs=args.jobs,
+    )
     serve_run(
         state, host=args.host, port=args.port, ready_file=args.ready_file
     )
@@ -1413,16 +1283,13 @@ def _query_inputs(directory, source: str, policy: str):
     return errors, coalesce(errors), samples
 
 
-def _run_query(args, trace_out, metrics_out) -> int:
+def _run_query(args) -> int:
     """The ``query`` verb: rollup-served answers plus the --check gate."""
     import json
     from pathlib import Path
 
-    from repro import obs
     from repro.query import (
         Query,
-        QueryError,
-        RollupError,
         RollupStore,
         answers_equal,
         build_store,
@@ -1435,75 +1302,63 @@ def _run_query(args, trace_out, metrics_out) -> int:
         Path(args.rollups) if args.rollups else directory / "rollups"
     )
 
-    try:
-        where = {}
-        for key, raw, flag in (
-            ("rack", args.racks, "--racks"),
-            ("slot", args.slots, "--slots"),
-            ("node", args.nodes, "--nodes"),
-        ):
-            if raw is not None:
-                where[key] = _parse_axis(raw, int, flag)
-        if args.modes is not None:
-            where["mode"] = [
-                m.strip() for m in args.modes.split(",") if m.strip()
-            ]
-        if args.since is not None:
-            where["since"] = args.since
-        if args.until is not None:
-            where["until"] = args.until
-        group_by = tuple(
-            d.strip() for d in (args.group_by or "").split(",") if d.strip()
-        )
-        query = Query(
-            args.select, group_by=group_by, where=where, top_k=args.top_k
-        )
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    where = {}
+    for key, raw, flag in (
+        ("rack", args.racks, "--racks"),
+        ("slot", args.slots, "--slots"),
+        ("node", args.nodes, "--nodes"),
+    ):
+        if raw is not None:
+            where[key] = _parse_axis(raw, int, flag)
+    if args.modes is not None:
+        where["mode"] = [
+            m.strip() for m in args.modes.split(",") if m.strip()
+        ]
+    if args.since is not None:
+        where["since"] = args.since
+    if args.until is not None:
+        where["until"] = args.until
+    group_by = tuple(
+        d.strip() for d in (args.group_by or "").split(",") if d.strip()
+    )
+    query = Query(
+        args.select, group_by=group_by, where=where, top_k=args.top_k
+    )
 
-    try:
-        if args.build:
-            errors, faults, samples = _query_inputs(
-                directory, "batch", args.ingest_policy
+    if args.build:
+        errors, faults, samples = _query_inputs(
+            directory, "batch", args.ingest_policy
+        )
+        store = build_store(
+            errors,
+            faults=faults,
+            sensor_samples=samples,
+            source="batch",
+            policy=args.ingest_policy,
+        )
+        version = store.snapshot(rollup_dir)
+        if not args.json:
+            print(
+                f"built rollup snapshot v{version} at {rollup_dir} "
+                f"({store.errors_seen} CEs, {store.n_faults} faults)"
             )
-            store = build_store(
-                errors,
-                faults=faults,
-                sensor_samples=samples,
-                source="batch",
-                policy=args.ingest_policy,
-            )
-            version = store.snapshot(rollup_dir)
-            if not args.json:
-                print(
-                    f"built rollup snapshot v{version} at {rollup_dir} "
-                    f"({store.errors_seen} CEs, {store.n_faults} faults)"
-                )
-        else:
-            store = RollupStore.load(
-                rollup_dir, version=args.snapshot_version
-            )
-            version = (
-                args.snapshot_version
-                if args.snapshot_version is not None
-                else RollupStore.latest_version(rollup_dir)
-            )
-        answer = execute(store, query)
-    except (RollupError, QueryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    else:
+        store = RollupStore.load(
+            rollup_dir, version=args.snapshot_version
+        )
+        version = (
+            args.snapshot_version
+            if args.snapshot_version is not None
+            else RollupStore.latest_version(rollup_dir)
+        )
+    answer = execute(store, query)
 
     check_doc = None
     exit_code = 0
     if args.check:
         source = store.source if store.source in ("stream", "fleet") else "batch"
         policy = store.policy or args.ingest_policy
-        try:
-            errors, faults, samples = _query_inputs(directory, source, policy)
-        except OSError as exc:
-            print(f"error: --check cannot re-ingest: {exc}", file=sys.stderr)
-            return 2
+        errors, faults, samples = _query_inputs(directory, source, policy)
         reference = build_store(
             errors,
             faults=faults,
@@ -1575,15 +1430,6 @@ def _run_query(args, trace_out, metrics_out) -> int:
             print(f"  {label or 'total'}: {value}")
             shown += 1
         print(f"  groups={answer['n_groups']} total={answer['total']}")
-
-    if trace_out:
-        obs.write_trace(trace_out)
-        if not args.json:
-            print(f"wrote trace to {trace_out}")
-    if metrics_out:
-        obs.write_metrics(metrics_out)
-        if not args.json:
-            print(f"wrote metrics to {metrics_out}")
     return exit_code
 
 
@@ -1626,49 +1472,37 @@ def _fleet_reference_faults(fleet, result, source: str, policy: str):
     return coalesce(merged[np.argsort(merged["time"], kind="stable")])
 
 
-def _run_fleet(args, trace_out, metrics_out) -> int:
+def _run_fleet(args) -> int:
     """The ``fleet`` verb: synthesise, shard-process, check, analyse."""
+    import json
     import time
+    from pathlib import Path
 
     import numpy as np
 
-    from repro import obs
     from repro.fleet import (
         Fleet,
-        FleetFormatError,
         FleetSpec,
         fleet_campaign,
         process_fleet,
         synth_fleet,
     )
 
-    for path in (args.fleet_report, args.json_report):
-        _validate_json_report(path)
     if args.json and args.exp is not None:
-        print(
-            "error: --json cannot be combined with --exp; hint: use "
-            "--json-report for the experiment run report",
-            file=sys.stderr,
+        raise ReproError(
+            "--json cannot be combined with --exp; hint: use "
+            "--json-report for the experiment run report"
         )
-        return 2
-
-    from pathlib import Path
 
     shard_dir = Path(args.shard_dir)
-    try:
-        existing = Fleet.load(shard_dir) if shard_dir.exists() else None
-    except FleetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    existing = Fleet.load(shard_dir) if shard_dir.exists() else None
     if existing is not None and not args.force_synth:
         if args.clusters is not None and args.clusters != existing.spec.n_clusters:
-            print(
-                f"error: {shard_dir} already holds a "
+            raise ReproError(
+                f"{shard_dir} already holds a "
                 f"{existing.spec.n_clusters}-cluster fleet; pass "
-                "--force-synth to re-synthesise it",
-                file=sys.stderr,
+                "--force-synth to re-synthesise it"
             )
-            return 2
         spec = existing.spec
     else:
         spec = FleetSpec(
@@ -1692,21 +1526,17 @@ def _run_fleet(args, trace_out, metrics_out) -> int:
             f"nodes at {shard_dir}"
         )
 
-    try:
-        result = process_fleet(
-            fleet, jobs=args.jobs, source=args.source,
-            policy=args.ingest_policy,
-            task_timeout_s=args.task_timeout,
-            shard_retries=args.shard_retries,
-            resume=args.resume,
-            ledger=not args.no_ledger,
-            chaos=args.chaos,
-            chaos_seed=args.chaos_seed,
-            rollups=bool(args.rollups_out),
-        )
-    except FleetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = process_fleet(
+        fleet, jobs=args.jobs, source=args.source,
+        policy=args.ingest_policy,
+        task_timeout_s=args.task_timeout,
+        shard_retries=args.shard_retries,
+        resume=args.resume,
+        ledger=not args.no_ledger,
+        chaos=args.chaos,
+        chaos_seed=args.chaos_seed,
+        rollups=bool(args.rollups_out),
+    )
     if not args.json:
         modes = ", ".join(
             f"{label}={n}"
@@ -1792,8 +1622,6 @@ def _run_fleet(args, trace_out, metrics_out) -> int:
                   f"({reference.size} faults)")
 
     if args.fleet_report:
-        import json
-
         from repro._util import iso
 
         now = time.time()
@@ -1815,8 +1643,6 @@ def _run_fleet(args, trace_out, metrics_out) -> int:
             print(f"wrote faults to {args.faults_out}")
 
     if args.json:
-        import json
-
         doc = {
             "schema_version": 1,
             "fleet": fleet.to_dict(),
@@ -1825,31 +1651,11 @@ def _run_fleet(args, trace_out, metrics_out) -> int:
             "rollups": rollup_info,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
-        if trace_out:
-            obs.write_trace(trace_out)
-        if metrics_out:
-            obs.write_metrics(metrics_out)
-        return exit_code
-
-    if args.exp is not None:
-        campaign = fleet_campaign(fleet, result=result)
+    elif args.exp is not None:
         exp_code = _run_experiments(
-            campaign,
-            args.exp,
-            jobs=args.jobs,
-            json_report=args.json_report,
-            ingest_policy=args.ingest_policy,
-            trace_out=trace_out,
-            metrics_out=metrics_out,
+            args, fleet_campaign(fleet, result=result), args.exp
         )
         return exit_code or exp_code
-
-    if trace_out:
-        obs.write_trace(trace_out)
-        print(f"wrote trace to {trace_out}")
-    if metrics_out:
-        obs.write_metrics(metrics_out)
-        print(f"wrote metrics to {metrics_out}")
     return exit_code
 
 
@@ -1875,7 +1681,7 @@ def _parse_axis(raw: str, kind, flag: str) -> list:
     return out
 
 
-def _run_whatif(args, trace_out, metrics_out) -> int:
+def _run_whatif(args) -> int:
     """The ``whatif`` verb: counterfactual scenario replay + self-check."""
     import json
     import time
@@ -1892,25 +1698,20 @@ def _run_whatif(args, trace_out, metrics_out) -> int:
         scenario_grid,
     )
 
-    _validate_json_report(args.scenarios_out)
     codes = [c.strip() for c in args.codes.split(",") if c.strip()]
     unknown = [c for c in codes if c not in CODES]
     if not codes or unknown:
-        print(
-            f"error: unknown code(s): {', '.join(unknown) or '(none given)'}\n"
-            f"known codes: {', '.join(CODES)}",
-            file=sys.stderr,
+        raise ReproError(
+            f"unknown code(s): {', '.join(unknown) or '(none given)'}\n"
+            f"known codes: {', '.join(CODES)}"
         )
-        return 2
     scrub_hours = _parse_axis(args.scrub, float, "--scrub")
     retire = _parse_axis(args.retire, int, "--retire")
     if min(scrub_hours) < 0 or min(retire) < 0 or args.exclude_budget < 0:
-        print(
-            "error: --scrub/--retire/--exclude-budget values must be >= 0 "
-            "(0 disables the mechanism)",
-            file=sys.stderr,
+        raise ReproError(
+            "--scrub/--retire/--exclude-budget values must be >= 0 "
+            "(0 disables the mechanism)"
         )
-        return 2
 
     if args.fleet:
         from repro.fleet import Fleet, fleet_errors
@@ -2002,216 +1803,158 @@ def _run_whatif(args, trace_out, metrics_out) -> int:
 
         Path(args.scenarios_out).write_text(json.dumps(payload, indent=2))
         print(f"wrote scenario report to {args.scenarios_out}")
-
-    if trace_out:
-        obs.write_trace(trace_out)
-        print(f"wrote trace to {trace_out}")
-    if metrics_out:
-        obs.write_metrics(metrics_out)
-        print(f"wrote metrics to {metrics_out}")
     return exit_code
 
 
+def _run_mitigate(args) -> int:
+    from repro.mitigation import (
+        ExcludeListPolicy,
+        PageRetirementPolicy,
+        simulate_exclude_list,
+        simulate_page_retirement,
+    )
+    from repro.synth import CampaignGenerator
+
+    campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
+    retire = simulate_page_retirement(
+        campaign.errors,
+        PageRetirementPolicy(threshold=args.retire_threshold),
+    )
+    exclude = simulate_exclude_list(
+        campaign.errors, ExcludeListPolicy(ce_budget=args.exclude_budget)
+    )
+    print(f"campaign: {campaign.n_errors} CEs (seed={args.seed}, scale={args.scale})")
+    print(
+        f"page retirement (k={args.retire_threshold}): avoided "
+        f"{retire.errors_avoided} CEs ({retire.avoided_fraction:.1%}), "
+        f"{retire.pages_retired} pages ({retire.retired_bytes / 1024:.0f} KiB)"
+    )
+    print(
+        f"exclude list (B={args.exclude_budget}): avoided "
+        f"{exclude.errors_avoided} CEs ({exclude.avoided_fraction:.1%}), "
+        f"{exclude.nodes_excluded} nodes, "
+        f"{exclude.node_seconds_lost / 86400.0:.0f} node-days lost"
+    )
+    return 0
+
+
+def _run_release(args) -> int:
+    from repro.logs.release import write_release
+    from repro.synth import CampaignGenerator
+
+    campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
+    directory = write_release(
+        campaign, args.out, sensor_cadence_s=args.sensor_cadence
+    )
+    print(f"wrote release ({campaign.n_errors} CE records) to {directory}")
+    return 0
+
+
+def _run_validate(args) -> int:
+    from repro.synth import CampaignGenerator, render_validation, validate_campaign
+
+    campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
+    checks = validate_campaign(campaign)
+    print(render_validation(checks))
+    return 0 if all(c.passed for c in checks) else 1
+
+
+#: Every verb and its handler, in ``--help`` order; also the vocabulary
+#: of the unknown-command pre-check in :func:`main`.
+_VERBS = {
+    "synth": _run_synth,
+    "analyze": _run_analyze,
+    "experiment": _run_experiment,
+    "stream": _run_stream,
+    "fleet": _run_fleet,
+    "query": _run_query,
+    "mitigate": _run_mitigate,
+    "whatif": _run_whatif,
+    "predict": _run_predict,
+    "serve": _run_serve,
+    "validate": _run_validate,
+    "release": _run_release,
+    "list": _run_list,
+}
+
+#: ``args`` attributes of every output-path flag, checked before any verb.
+_OUTPUT_PATHS = (
+    "json_report", "trace_out", "metrics_out", "alerts_out", "faults_out",
+    "report", "scores_out", "scenarios_out", "fleet_report",
+)
+
+
+def _check_output_paths(args) -> None:
+    """Fail fast (exit 2) on an output path whose directory is missing."""
+    from pathlib import Path
+
+    for dest in _OUTPUT_PATHS:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        parent = Path(path).resolve().parent
+        if not parent.is_dir():
+            flag = "--" + dest.replace("_", "-")
+            print(
+                f"error: {flag} directory does not exist: {parent}",
+                file=sys.stderr,
+            )
+            raise SystemExit(2)
+
+
 def _dispatch(args) -> int:
+    """Run one verb between the shared prologue and epilogue.
+
+    Tracing is configured before any campaign load so ingest/cache spans
+    land in the trace.  The trace and metrics files are written whenever
+    the verb gets to an answer (exit 0 or 1), never after a refusal.
+    """
     from repro import obs
 
-    # Configure observability before any campaign load or generation so
-    # ingest/cache spans land in the trace.
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     obs.configure(
         trace=bool(trace_out),
         profile=bool(getattr(args, "profile", False)),
     )
-    for path in (trace_out, metrics_out):
-        _validate_json_report(path)
+    _check_output_paths(args)
+    code = _VERBS[args.command](args)
+    if code != 2:
+        announce = not getattr(args, "json", False)
+        if trace_out:
+            obs.write_trace(trace_out)
+            if announce:
+                print(f"wrote trace to {trace_out}")
+        if metrics_out:
+            obs.write_metrics(metrics_out)
+            if announce:
+                print(f"wrote metrics to {metrics_out}")
+    return code
 
-    if args.command == "list":
-        from repro.experiments import list_experiments
 
-        for exp_id, title in list_experiments(include_extensions=True):
-            print(f"{exp_id:<12} {title}")
-        return 0
-
-    if args.command == "synth":
-        from repro.logs.campaign_io import write_campaign
-        from repro.synth import CampaignGenerator
-
-        campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
-        directory = write_campaign(
-            campaign, args.out, text_logs=args.text_logs, shards=args.shards
-        )
+def main(argv=None) -> int:
+    """CLI entry point; returns the process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Friendly unknown-subcommand handling (same convention as unknown
+    # experiment ids): a clear error plus the known vocabulary, exit 2,
+    # instead of argparse's bare usage dump.
+    first = next((a for a in argv if not a.startswith("-")), None)
+    if first is not None and first not in _VERBS:
         print(
-            f"wrote campaign (seed={args.seed}, scale={args.scale}, "
-            f"{campaign.n_errors} CEs) to {directory}"
+            f"error: unknown command {first!r}\n"
+            f"known commands: {', '.join(_VERBS)}\n"
+            "hint: 'astra-memrepro --help' shows usage",
+            file=sys.stderr,
         )
-        return 0
-
-    if args.command == "analyze":
-        from repro.logs.campaign_io import (
-            campaign_from_records,
-            load_campaign_records,
-        )
-
-        # Validate cheap things (ids, report path) before the expensive
-        # campaign load / fault coalescing.
-        exp_ids = _resolve_exp_ids(args.exp)
-        _validate_json_report(args.json_report)
-        outcome = None
-        injection = None
-        campaign_dir = args.directory
-        if args.inject:
-            campaign, injection = _inject_campaign(
-                args.directory, args.inject, args.inject_seed, args.ingest_policy
-            )
-            # Workers re-loading the corrupted directory under the default
-            # strict policy would fail; ship the repaired campaign instead.
-            campaign_dir = None
-        else:
-            records = load_campaign_records(args.directory, policy=args.ingest_policy)
-            clean = all(s.source == "binary" for s in records.ingest.values())
-            if not clean:
-                campaign_dir = None
-            if args.no_cache or not clean:
-                # Degraded loads stay out of the campaign cache: an entry
-                # keyed only by (seed, scale) must never serve partial data
-                # to a later clean run.
-                campaign = campaign_from_records(records)
-            else:
-                campaign, outcome = _make_cache(args.cache_dir).warm_from_records(
-                    records
-                )
-        if args.rollups:
-            from repro.query import RollupError, RollupStore
-
-            try:
-                campaign.rollups = RollupStore.load(args.rollups)
-            except RollupError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        return _run_experiments(
-            campaign,
-            exp_ids,
-            jobs=args.jobs,
-            json_report=args.json_report,
-            cache_outcome=outcome,
-            campaign_dir=campaign_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            min_coverage=args.min_coverage,
-            ingest_policy=args.ingest_policy,
-            injection=injection,
-            trace_out=trace_out,
-            metrics_out=metrics_out,
-        )
-
-    if args.command == "experiment":
-        exp_ids = _resolve_exp_ids(None if args.all else args.exp)
-        _validate_json_report(args.json_report)
-        outcome = None
-        injection = None
-        campaign_dir = None
-        if args.no_cache:
-            from repro.synth import CampaignGenerator
-
-            campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
-        else:
-            campaign, outcome = _make_cache(args.cache_dir).get_or_generate(
-                seed=args.seed, scale=args.scale
-            )
-            campaign_dir = outcome.path
-        if args.inject:
-            # Harness self-test: write the campaign out (text logs and
-            # all), corrupt the copy, and re-ingest it under the policy.
-            campaign, injection = _inject_campaign(
-                campaign, args.inject, args.inject_seed, args.ingest_policy
-            )
-            campaign_dir = None
-        return _run_experiments(
-            campaign,
-            exp_ids,
-            jobs=args.jobs,
-            json_report=args.json_report,
-            cache_outcome=outcome,
-            campaign_dir=campaign_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            min_coverage=args.min_coverage,
-            ingest_policy=args.ingest_policy,
-            injection=injection,
-            trace_out=trace_out,
-            metrics_out=metrics_out,
-        )
-
-    if args.command == "stream":
-        return _run_stream(args, trace_out, metrics_out)
-
-    if args.command == "fleet":
-        return _run_fleet(args, trace_out, metrics_out)
-
-    if args.command == "query":
-        return _run_query(args, trace_out, metrics_out)
-
-    if args.command == "whatif":
-        return _run_whatif(args, trace_out, metrics_out)
-
-    if args.command == "predict":
-        return _run_predict(args, trace_out, metrics_out)
-
-    if args.command == "serve":
-        return _run_serve(args, trace_out, metrics_out)
-
-    if args.command == "mitigate":
-        from repro.mitigation import (
-            ExcludeListPolicy,
-            PageRetirementPolicy,
-            simulate_exclude_list,
-            simulate_page_retirement,
-        )
-        from repro.synth import CampaignGenerator
-
-        campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
-        retire = simulate_page_retirement(
-            campaign.errors,
-            PageRetirementPolicy(threshold=args.retire_threshold),
-        )
-        exclude = simulate_exclude_list(
-            campaign.errors, ExcludeListPolicy(ce_budget=args.exclude_budget)
-        )
-        print(f"campaign: {campaign.n_errors} CEs (seed={args.seed}, scale={args.scale})")
-        print(
-            f"page retirement (k={args.retire_threshold}): avoided "
-            f"{retire.errors_avoided} CEs ({retire.avoided_fraction:.1%}), "
-            f"{retire.pages_retired} pages ({retire.retired_bytes / 1024:.0f} KiB)"
-        )
-        print(
-            f"exclude list (B={args.exclude_budget}): avoided "
-            f"{exclude.errors_avoided} CEs ({exclude.avoided_fraction:.1%}), "
-            f"{exclude.nodes_excluded} nodes, "
-            f"{exclude.node_seconds_lost / 86400.0:.0f} node-days lost"
-        )
-        return 0
-
-    if args.command == "release":
-        from repro.logs.release import write_release
-        from repro.synth import CampaignGenerator
-
-        campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
-        directory = write_release(
-            campaign, args.out, sensor_cadence_s=args.sensor_cadence
-        )
-        print(f"wrote release ({campaign.n_errors} CE records) to {directory}")
-        return 0
-
-    if args.command == "validate":
-        from repro.synth import CampaignGenerator, render_validation, validate_campaign
-
-        campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
-        checks = validate_campaign(campaign)
-        print(render_validation(checks))
-        return 0 if all(c.passed for c in checks) else 1
-
-    raise AssertionError("unreachable")
+        return 2
+    args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ReproError, OSError) as exc:
+        # Every typed refusal carries its own found/expected and hint;
+        # an unusable path names itself.  One line, exit 2, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import ReproError
 from repro._util import atomic_write
 from repro.logs.ingest import IngestStats
 from repro.logs.integrity import crc32c
@@ -58,7 +59,7 @@ LEDGER_SCHEMA_VERSION = 1
 EVENTS = ("plan", "resume", "attempt", "commit", "failed", "quarantine")
 
 
-class LedgerError(RuntimeError):
+class LedgerError(ReproError, RuntimeError):
     """A ledger could not be used (wrong version, unreadable, mismatched)."""
 
 

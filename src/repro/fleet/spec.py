@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
+from repro import ReproError
 from repro._util import atomic_write, mismatch
 from repro.machine.topology import AstraTopology
 
@@ -192,7 +193,7 @@ class Fleet:
         return cls(spec=spec, directory=directory, n_errors=n_errors)
 
 
-class FleetFormatError(ValueError):
+class FleetFormatError(ReproError, ValueError):
     """A fleet directory does not look like one (file and reason named)."""
 
     def __init__(self, path, reason: str):

@@ -32,14 +32,12 @@ from repro.logs.ingest import (
 )
 from repro.logs.syslog import (
     write_ce_log,
-    read_ce_log,
     ingest_ce_log,
     format_ce_record,
 )
 from repro.logs.bmc import (
     SENSOR_SAMPLE_DTYPE,
     write_bmc_log,
-    read_bmc_log,
     ingest_bmc_log,
     filter_valid_samples,
     sensor_dropout_windows,
@@ -47,11 +45,10 @@ from repro.logs.bmc import (
 from repro.logs.inventory import (
     InventoryModel,
     write_inventory_snapshots,
-    read_inventory_snapshots,
     ingest_inventory_snapshots,
     diff_inventories,
 )
-from repro.logs.het import write_het_log, read_het_log, ingest_het_log
+from repro.logs.het import write_het_log, ingest_het_log
 from repro.logs.release import write_release, read_release
 from repro.logs.store import save_records, load_records, shard_by_rack
 
@@ -65,7 +62,6 @@ __all__ = [
     "quarantine_path",
     "read_quarantine",
     "write_ce_log",
-    "read_ce_log",
     "ingest_ce_log",
     "ingest_bmc_log",
     "ingest_het_log",
@@ -74,14 +70,11 @@ __all__ = [
     "format_ce_record",
     "SENSOR_SAMPLE_DTYPE",
     "write_bmc_log",
-    "read_bmc_log",
     "filter_valid_samples",
     "InventoryModel",
     "write_inventory_snapshots",
-    "read_inventory_snapshots",
     "diff_inventories",
     "write_het_log",
-    "read_het_log",
     "write_release",
     "read_release",
     "save_records",

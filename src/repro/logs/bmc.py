@@ -252,12 +252,6 @@ def ingest_bmc_log(
     return out, stats
 
 
-def read_bmc_log(path: str | os.PathLike) -> np.ndarray:
-    """Parse a BMC CSV into a SENSOR_SAMPLE_DTYPE array (strict)."""
-    samples, _ = ingest_bmc_log(path, policy=IngestPolicy.STRICT, quarantine=False)
-    return samples
-
-
 def sensor_dropout_windows(
     samples: np.ndarray, cadence_s: float = 60.0, min_gap: float = 3.0
 ) -> list[tuple[float, float]]:

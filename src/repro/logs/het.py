@@ -7,10 +7,10 @@ in the syslog by the HET, with a severity field.  Line format::
         event=uncorrectableECC
 
 Event names come from Figure 15's legend verbatim.  Parsing goes
-through the shared :mod:`repro.logs.ingest` policy machinery: the
-legacy :func:`read_het_log` stays strict (any malformed record raises a
-typed error), while :func:`ingest_het_log` can quarantine garbage and
-repair records whose severity flag contradicts their event type.
+through the shared :mod:`repro.logs.ingest` policy machinery:
+:func:`ingest_het_log` under ``strict`` raises a typed error on any
+malformed record, and under the lenient policies quarantines garbage
+and repairs records whose severity flag contradicts their event type.
 """
 
 from __future__ import annotations
@@ -232,9 +232,3 @@ def ingest_het_log(
         stats.check_invariant()
         sp.add(**obs.record_ingest(stats))
     return out, stats
-
-
-def read_het_log(path: str | os.PathLike) -> np.ndarray:
-    """Parse a HET log back into a HET_DTYPE array (strict)."""
-    events, _ = ingest_het_log(path, policy=IngestPolicy.STRICT, quarantine=False)
-    return events

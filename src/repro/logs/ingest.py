@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import ReproError
 from repro.logs import fastpath
 
 
@@ -80,7 +81,7 @@ class IngestPolicy(str, Enum):
             ) from None
 
 
-class IngestError(ValueError):
+class IngestError(ReproError, ValueError):
     """Base class for typed ingest failures.
 
     Subclasses ``ValueError`` so existing callers (and the campaign

@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import ReproError
 from repro._util import atomic_write
 
 #: CRC-32C (Castagnoli), reflected representation.
@@ -50,7 +51,7 @@ _VECTOR_MIN = 64 * 1024
 SIDECAR_SUFFIX = ".crc32c"
 
 
-class ShardIntegrityError(ValueError):
+class ShardIntegrityError(ReproError, ValueError):
     """A binary shard/mirror failed its content checksum.
 
     Subclasses ``ValueError`` so every existing "unreadable mirror"

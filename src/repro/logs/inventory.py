@@ -423,20 +423,6 @@ def ingest_inventory_snapshots(
     return out, stats
 
 
-def read_inventory_snapshots(path: str | os.PathLike) -> dict:
-    """Parse snapshots: {date: {(component, node, position): serial}}.
-
-    Strict legacy entry point; :func:`ingest_inventory_snapshots`
-    exposes the lenient policies and quarantine accounting.
-    """
-    from repro.logs.ingest import IngestPolicy
-
-    out, _ = ingest_inventory_snapshots(
-        path, policy=IngestPolicy.STRICT, quarantine=False
-    )
-    return out
-
-
 def diff_inventories(prev: dict, curr: dict) -> np.ndarray:
     """Detect replacements between two snapshots (the section 3.1 method).
 
@@ -466,7 +452,9 @@ def replacements_from_snapshot_file(path: str | os.PathLike) -> np.ndarray:
     with its scan date (midnight).  This is the text-log-driven
     equivalent of consuming the generator's event stream directly.
     """
-    snaps = read_inventory_snapshots(path)
+    snaps, _ = ingest_inventory_snapshots(
+        path, policy="strict", quarantine=False
+    )
     dates = sorted(snaps)
     parts = []
     for prev_date, curr_date in zip(dates[:-1], dates[1:]):

@@ -123,7 +123,7 @@ class ReleaseData:
 
 def read_release(directory: str | os.PathLike) -> ReleaseData:
     """Load a release directory back into record arrays."""
-    from repro.logs.bmc import read_bmc_log
+    from repro.logs.bmc import ingest_bmc_log
     from repro.machine.node import slot_index
 
     directory = Path(directory)
@@ -181,7 +181,9 @@ def read_release(directory: str | os.PathLike) -> ReleaseData:
     valid = errors["address"] > 0
     if valid.any():
         errors["column"][valid] = amap.decode(errors["address"][valid])["column"]
-    environment = read_bmc_log(directory / "environment.txt")
+    environment, _ = ingest_bmc_log(
+        directory / "environment.txt", policy="strict", quarantine=False
+    )
     return ReleaseData(
         errors=errors,
         due_times=np.asarray(due_times),

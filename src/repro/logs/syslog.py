@@ -367,18 +367,6 @@ def stream_ce_batches(
             sidecar.flush()
 
 
-def read_ce_log(path: str | os.PathLike, strict: bool = False) -> ParseResult:
-    """Parse a CE syslog file back into an ERROR_DTYPE array.
-
-    Malformed lines are skipped and counted unless ``strict`` is set, in
-    which case the first bad line raises a typed ``ValueError``.  This
-    is the legacy entry point; :func:`ingest_ce_log` exposes the full
-    policy surface (repair, quarantine sidecars).
-    """
-    policy = IngestPolicy.STRICT if strict else IngestPolicy.SKIP
-    return ingest_ce_log(path, policy=policy, quarantine=False)
-
-
 #: Fields a complete CE line must carry (strict mode requires them all).
 _REQUIRED_KEYS = ("socket", "slot", "rank", "bank", "row", "col", "bit", "addr", "synd")
 

@@ -8,7 +8,9 @@ the CLI can map it to a clean ``exit 2`` instead of a traceback.
 
 from __future__ import annotations
 
+from repro import ReproError
 
-class PredictError(RuntimeError):
+
+class PredictError(ReproError, RuntimeError):
     """A model could not be trained, loaded, or applied."""
 

@@ -90,6 +90,41 @@ def evaluate(model: Model, ds: Dataset, target_fpr: float) -> dict:
     }
 
 
+def eval_report(
+    model: Model,
+    eval_ds: Dataset,
+    eval_seeds,
+    target_fpr: float,
+    scale: float,
+    config: DatasetConfig,
+    train: dict | None = None,
+) -> dict:
+    """The ``predict-eval`` report (``schemas/predict.schema.json``).
+
+    ``train`` describes the training split; when omitted (re-evaluating
+    a saved model) it comes from the model's own provenance record.
+    """
+    if train is None:
+        trained = model.trained
+        train = {
+            "seeds": sorted(set(map(int, trained.get("train_seeds", ())))),
+            "rows": int(trained.get("rows", 0)),
+            "positives": int(trained.get("positives", 0)),
+            "unseeable": 0,
+        }
+    return {
+        "schema": REPORT_SCHEMA_VERSION,
+        "kind": "predict-eval",
+        "model_id": model.model_id,
+        "target_fpr": float(target_fpr),
+        "scale": float(scale),
+        "config": config.to_dict(),
+        "train": train,
+        "eval": _split_stats(eval_ds, eval_seeds),
+        **evaluate(model, eval_ds, target_fpr),
+    }
+
+
 def train_and_evaluate(
     train_seeds=TRAIN_SEEDS,
     eval_seeds=EVAL_SEEDS,
@@ -128,17 +163,8 @@ def train_and_evaluate(
             },
         )
     with obs.span("predict.evaluate", transient=True):
-        results = evaluate(model, eval_ds, target_fpr)
-
-    report = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "kind": "predict-eval",
-        "model_id": model.model_id,
-        "target_fpr": float(target_fpr),
-        "scale": float(scale),
-        "config": config.to_dict(),
-        "train": _split_stats(train_ds, train_seeds),
-        "eval": _split_stats(eval_ds, eval_seeds),
-        **results,
-    }
+        report = eval_report(
+            model, eval_ds, eval_seeds, target_fpr, scale, config,
+            train=_split_stats(train_ds, train_seeds),
+        )
     return model, report

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import ReproError
 from repro.faults.types import (
     ERROR_DTYPE,
     FAULT_DTYPE,
@@ -55,7 +56,7 @@ _FAULT_MB_DIMS = ("mode", "bucket")
 _CE_DIMS = ("node", "window")
 
 
-class QueryError(ValueError):
+class QueryError(ReproError, ValueError):
     """A query is malformed or not answerable from the cubes."""
 
 

@@ -54,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import ReproError
 from repro._util import atomic_write, mismatch
 from repro.faults.types import ERROR_DTYPE, FAULT_DTYPE, FaultMode
 from repro.logs.integrity import crc32c
@@ -78,7 +79,7 @@ _CE_KEY_BASE = 1 << 34
 _MAX_NODE = 1 << 29
 
 
-class RollupError(RuntimeError):
+class RollupError(ReproError, RuntimeError):
     """A rollup cube could not be built, merged, or loaded."""
 
 

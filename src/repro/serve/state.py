@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import ReproError
 from repro.predict.errors import PredictError
 from repro.predict.model import Model
 from repro.predict.score import score_records
@@ -39,7 +40,7 @@ from repro.predict.score import score_records
 SERVE_SCHEMA_VERSION = 1
 
 
-class ServeError(RuntimeError):
+class ServeError(ReproError, RuntimeError):
     """A request asked for something this server cannot answer."""
 
 

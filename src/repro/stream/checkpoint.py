@@ -39,6 +39,7 @@ import json
 import os
 from pathlib import Path
 
+from repro import ReproError
 from repro._util import atomic_write, fsync_dir, fsync_file, mismatch
 from repro.logs.integrity import crc32c
 
@@ -49,7 +50,7 @@ CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "checkpoint.journal"
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(ReproError, RuntimeError):
     """A checkpoint could not be loaded (corrupt, or wrong schema)."""
 
 

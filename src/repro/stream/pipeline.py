@@ -38,7 +38,7 @@ from repro.query.rollup import RollupConfig, RollupStore
 from repro.stream.alerts import AlertEngine, AlertRules, AlertSink
 from repro.stream.checkpoint import CheckpointError, CheckpointStore, delta_ops
 from repro.stream.online_coalesce import OnlineCoalescer
-from repro.stream.tailer import FAMILY_SPECS, LogTailer, spec_for_path
+from repro.stream.tailer import FAMILY_SPECS, LogTailer, TailError, spec_for_path
 
 #: Family polling order (fixed so batch indices are deterministic).
 _FAMILY_ORDER = ("errors", "het", "sensors", "inventory")
@@ -162,7 +162,7 @@ class StreamPipeline:
         for p in paths:
             spec = spec_for_path(p)
             if spec is None:
-                raise ValueError(
+                raise TailError(
                     f"{p}: file name does not identify a telemetry family "
                     "(expected ce.log, het.log, bmc*, or inventory*)"
                 )
@@ -177,7 +177,7 @@ class StreamPipeline:
             for p in by_family[family]
         ]
         if not self.tailers:
-            raise ValueError(
+            raise TailError(
                 f"{directory}: no tailable telemetry files found"
             )
 

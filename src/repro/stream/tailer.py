@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import ReproError
 from repro.faults.types import empty_errors
 from repro.logs import bmc, het, inventory, syslog
 from repro.logs.ingest import (
@@ -49,13 +50,16 @@ from repro.machine.sensors import NodeSensorComplement
 from repro.synth.het import HET_DTYPE
 
 
-class TailError(RuntimeError):
-    """A tailed file did something an append-only log must not.
+class TailError(ReproError, RuntimeError):
+    """Telemetry files that cannot be tailed, or stopped being tailable.
 
-    Raised when a file shrinks below the consumed offset (rotation or
-    truncation), which would silently desynchronise line numbers and
-    offsets; the operator must restart the tailer (or resume from a
-    checkpoint taken before the rotation).
+    Raised at set-up when a directory holds no tailable telemetry file,
+    a file's name identifies no telemetry family, the batch size is not
+    positive, or a checkpoint restores a file into another family's
+    tailer.  Raised mid-stream when a file shrinks below the consumed
+    offset (rotation or truncation), which would silently desynchronise
+    line numbers and offsets; the operator must restart the tailer (or
+    resume from a checkpoint taken before the rotation).
     """
 
 
@@ -219,7 +223,7 @@ class LogTailer:
         fast: bool = True,
     ):
         if batch_bytes < 1:
-            raise ValueError("batch_bytes must be positive")
+            raise TailError("batch_bytes must be positive")
         self.path = Path(path)
         self.spec = spec
         self.policy = IngestPolicy.coerce(policy)
@@ -494,7 +498,7 @@ class LogTailer:
 
     def restore(self, state: dict) -> None:
         if state["family"] != self.spec.family:
-            raise ValueError(
+            raise TailError(
                 f"checkpoint family {state['family']!r} does not match "
                 f"tailer family {self.spec.family!r}"
             )

@@ -7,7 +7,7 @@ from repro._util import epoch
 from repro.logs.bmc import (
     SENSOR_SAMPLE_DTYPE,
     filter_valid_samples,
-    read_bmc_log,
+    ingest_bmc_log,
     write_bmc_log,
 )
 from repro.synth.sensors import SensorFieldModel
@@ -25,7 +25,7 @@ class TestRoundTrip:
         path = tmp_path / "bmc.csv"
         n = write_bmc_log(path, model, [1, 2], T0, T0 + 600.0, cadence_s=60.0)
         assert n == 2 * 10 * 7  # nodes x minutes x sensors
-        samples = read_bmc_log(path)
+        samples = ingest_bmc_log(path, policy="strict", quarantine=False)[0]
         assert samples.size == n
         assert samples.dtype == SENSOR_SAMPLE_DTYPE
         assert set(np.unique(samples["node"])) == {1, 2}
@@ -34,7 +34,7 @@ class TestRoundTrip:
     def test_values_match_model(self, tmp_path, model):
         path = tmp_path / "bmc.csv"
         write_bmc_log(path, model, [5], T0, T0 + 180.0, sensors=(0,))
-        samples = read_bmc_log(path)
+        samples = ingest_bmc_log(path, policy="strict", quarantine=False)[0]
         expected = model.raw_samples(
             samples["node"], samples["sensor"], samples["time"]
         )
@@ -43,7 +43,7 @@ class TestRoundTrip:
     def test_sensor_subset(self, tmp_path, model):
         path = tmp_path / "bmc.csv"
         write_bmc_log(path, model, [0], T0, T0 + 120.0, sensors=(6,))
-        samples = read_bmc_log(path)
+        samples = ingest_bmc_log(path, policy="strict", quarantine=False)[0]
         assert np.all(samples["sensor"] == 6)
         assert np.all(samples["value"] > 100)  # watts
 
@@ -55,7 +55,7 @@ class TestRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("2019-06-01T00:00:00,0001,cpu0,55.0\n")
         with pytest.raises(ValueError):
-            read_bmc_log(path)
+            ingest_bmc_log(path, policy="strict", quarantine=False)[0]
 
 
 class TestValidity:
@@ -63,7 +63,7 @@ class TestValidity:
         path = tmp_path / "bmc.csv"
         # Enough samples that some invalids are expected (~0.5%).
         write_bmc_log(path, model, list(range(20)), T0, T0 + 7200.0)
-        samples = read_bmc_log(path)
+        samples = ingest_bmc_log(path, policy="strict", quarantine=False)[0]
         valid, frac = filter_valid_samples(samples)
         assert 0 < frac < 0.01  # paper: "significantly less than 1%"
         assert valid.size < samples.size

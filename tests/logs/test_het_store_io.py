@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.faults.types import ERROR_DTYPE
-from repro.logs.het import read_het_log, write_het_log
+from repro.logs.het import ingest_het_log, write_het_log
 from repro.logs.store import load_records, load_shards, save_records, shard_by_rack
 from repro.logs.campaign_io import load_campaign_records, write_campaign
 from repro.machine.topology import AstraTopology
@@ -21,7 +21,7 @@ class TestHetLog:
         path = tmp_path / "het.log"
         n = write_het_log(het_events, path)
         assert n == het_events.size
-        back = read_het_log(path)
+        back = ingest_het_log(path, policy="strict", quarantine=False)[0]
         assert np.max(np.abs(back["time"] - het_events["time"])) < 1.0
         for field in ("node", "event", "non_recoverable"):
             np.testing.assert_array_equal(back[field], het_events[field])
@@ -36,14 +36,14 @@ class TestHetLog:
             pytest.skip("no such events generated for this seed")
         path = tmp_path / "spaces.log"
         write_het_log(sel, path)
-        back = read_het_log(path)
+        back = ingest_het_log(path, policy="strict", quarantine=False)[0]
         assert np.all(back["event"] == idx)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.log"
         path.write_text("nothing to see here\n")
         with pytest.raises(ValueError):
-            read_het_log(path)
+            ingest_het_log(path, policy="strict", quarantine=False)[0]
 
     def test_unknown_event_rejected(self, tmp_path):
         path = tmp_path / "bad.log"
@@ -52,7 +52,7 @@ class TestHetLog:
             "event=mysteryEvent\n"
         )
         with pytest.raises(ValueError):
-            read_het_log(path)
+            ingest_het_log(path, policy="strict", quarantine=False)[0]
 
     def test_wrong_dtype(self, tmp_path):
         with pytest.raises(ValueError):

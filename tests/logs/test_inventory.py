@@ -7,7 +7,7 @@ from repro._util import DAY_S, epoch
 from repro.logs.inventory import (
     InventoryModel,
     diff_inventories,
-    read_inventory_snapshots,
+    ingest_inventory_snapshots,
     replacements_from_snapshot_file,
     write_inventory_snapshots,
 )
@@ -103,7 +103,9 @@ class TestDiffPipeline:
         path = tmp_path / "bad.csv"
         path.write_text("2019-02-17,n0001,gpu,0,SN-X\n")
         with pytest.raises(ValueError):
-            read_inventory_snapshots(path)
+            ingest_inventory_snapshots(
+                path, policy="strict", quarantine=False
+            )
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.logs.ingest import IngestStats
-from repro.logs.syslog import read_ce_log, stream_ce_batches, write_ce_log
+from repro.logs.syslog import ingest_ce_log, stream_ce_batches, write_ce_log
 from util import bit_error, make_errors
 
 GEARS = (True, False)
@@ -33,7 +33,7 @@ class TestStreaming:
     def test_chunks_cover_log(self, log_path):
         """Batches concatenate to the whole-file (batch) parse."""
         path, errors = log_path
-        whole = read_ce_log(path).errors
+        whole = ingest_ce_log(path, policy="skip", quarantine=False).errors
         sizes = [b.size for b in _batches(path, fast=False, chunk_records=100)]
         assert sizes == [100, 100, 50]
         for fast in GEARS:

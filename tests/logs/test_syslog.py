@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.logs.syslog import format_ce_record, read_ce_log, write_ce_log
+from repro.logs.syslog import format_ce_record, ingest_ce_log, write_ce_log
 from repro.faults.types import empty_errors
 from util import bit_error, make_errors
 
@@ -50,14 +50,14 @@ class TestRoundTrip:
         path = tmp_path / "ce.log"
         n = write_ce_log(sample_errors, path)
         assert n == 3
-        result = read_ce_log(path)
+        result = ingest_ce_log(path, policy="skip", quarantine=False)
         assert result.n_malformed == 0
         np.testing.assert_array_equal(result.errors, sample_errors)
 
     def test_empty_log(self, tmp_path):
         path = tmp_path / "ce.log"
         write_ce_log(empty_errors(0), path)
-        result = read_ce_log(path)
+        result = ingest_ce_log(path, policy="skip", quarantine=False)
         assert result.errors.size == 0
 
     def test_large_roundtrip(self, tmp_path):
@@ -77,7 +77,7 @@ class TestRoundTrip:
         e["syndrome"] = rng.integers(0, 256, n)
         path = tmp_path / "big.log"
         write_ce_log(e, path)
-        back = read_ce_log(path).errors
+        back = ingest_ce_log(path, policy="skip", quarantine=False).errors
         np.testing.assert_array_equal(back, e)
 
     def test_wrong_dtype(self, tmp_path):
@@ -92,7 +92,7 @@ class TestMalformed:
         with open(path, "a") as fh:
             fh.write("this is not a CE record\n")
             fh.write("2019-01-01T00:00:00 astra-n0001 kernel: EDAC CE broken\n")
-        result = read_ce_log(path)
+        result = ingest_ce_log(path, policy="skip", quarantine=False)
         assert result.errors.size == 3
         assert result.n_malformed == 2
 
@@ -100,14 +100,14 @@ class TestMalformed:
         path = tmp_path / "bad.log"
         path.write_text("garbage\n")
         with pytest.raises(ValueError):
-            read_ce_log(path, strict=True)
+            ingest_ce_log(path, policy="strict", quarantine=False)
 
     def test_blank_lines_ignored(self, tmp_path, sample_errors):
         path = tmp_path / "ce.log"
         write_ce_log(sample_errors, path)
         with open(path, "a") as fh:
             fh.write("\n\n")
-        result = read_ce_log(path)
+        result = ingest_ce_log(path, policy="skip", quarantine=False)
         assert result.errors.size == 3
         assert result.n_malformed == 0
 
@@ -118,7 +118,7 @@ class TestPipelineFromText:
         sub = small_campaign.errors[:5000]
         path = tmp_path / "ce.log"
         write_ce_log(sub, path)
-        back = read_ce_log(path).errors
+        back = ingest_ce_log(path, policy="skip", quarantine=False).errors
         # Timestamps render at second resolution; everything else exact.
         assert np.max(np.abs(back["time"] - sub["time"])) < 1.0
         for field in sub.dtype.names:
