@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Fleet triage: what an Astra operator would do with this library.
 
-Consumes a campaign the way a site reliability run-book would: shard the
-CE stream per rack with the parallel engine, build a rack "heat map" of
-errors vs faults, flag exclude-list candidates, and list the DIMM slots
-to inspect during the next maintenance window.
+Consumes a campaign the way a site reliability run-book would: coalesce
+the CE stream into faults, build a rack "heat map" of errors vs faults,
+flag exclude-list candidates, and list the DIMM slots to inspect during
+the next maintenance window.
 """
 
 import numpy as np
@@ -12,15 +12,10 @@ import numpy as np
 from repro.analysis.counts import counts_by
 from repro.analysis.distributions import concentration_curve, per_node_counts
 from repro.experiments.base import sparkline
+from repro.faults.coalesce import coalesce
 from repro.machine.node import DIMM_SLOTS
 from repro.mitigation.exclude_list import ExcludeListPolicy, simulate_exclude_list
-from repro.parallel.executor import ShardMapReduce, parallel_coalesce
-from repro.parallel.sharding import merge_counts
 from repro.synth import CampaignGenerator
-
-
-def _rack_errors(shard):
-    return np.array([shard.size])
 
 
 def main() -> None:
@@ -28,9 +23,10 @@ def main() -> None:
     topo = campaign.topology
     print(f"triage over {campaign.n_errors:,} CEs on {topo.n_nodes} nodes\n")
 
-    # Shard-parallel coalescing (the scalable path for archive-sized logs).
-    faults = parallel_coalesce(campaign.errors, topo, n_workers=0)
-    print(f"{faults.size} distinct faults after per-rack coalescing\n")
+    # Coalescing (for archive-sized logs, `repro fleet` runs it per rack
+    # shard on a process pool, with the same answer).
+    faults = coalesce(campaign.errors)
+    print(f"{faults.size} distinct faults after coalescing\n")
 
     # Rack heat map: errors spike somewhere faults do not.
     racks_e = np.bincount(topo.rack_of(campaign.errors["node"]), minlength=36)

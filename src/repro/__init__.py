@@ -17,7 +17,7 @@ The package is layered bottom-up:
   simulators for the mitigation implications the paper argues for.
 - :mod:`repro.experiments` -- one module per paper table/figure that
   regenerates its rows/series.
-- :mod:`repro.parallel` -- shard-parallel execution of the analyses.
+- :mod:`repro.parallel` -- the process pools the runner and fleet use.
 
 Quickstart::
 

@@ -21,11 +21,14 @@ serial re-run and a corrupt shard poisoned the reduction.  The
   experiment layer downgrades to ``pass-degraded`` instead of trusting
   a silently partial answer.
 
-The parallel path mirrors the experiment runner's supervision model
-(deadline per task, abandoned slots written off) and adds pool
-recreation: when chaos -- or the OOM killer -- SIGKILLs a worker, every
-in-flight task is requeued with its attempt count bumped and a fresh
-pool takes over.
+The parallel path runs on the scheduler the experiment runner also
+uses, :func:`repro.parallel.executor.supervise` (deadline per task,
+wedged slots written off, pool recreation).  This module keeps only
+the fleet's policy: each submission journals an ``attempt``, each
+finished attempt commits, retries with backoff, or quarantines, and
+whatever the pool hands back runs through the serial path.  When
+chaos -- or the OOM killer -- SIGKILLs a worker, every in-flight task
+comes back as a failed attempt and a fresh pool takes over.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from repro.fleet.ledger import (
     task_key,
 )
 from repro.logs.integrity import ShardIntegrityError, sidecar_path
+from repro.parallel.executor import TaskTimeout, supervise
 
 
 @dataclass
@@ -276,10 +278,21 @@ class ShardSupervisor:
         self.outcome.results[key] = result
 
     # ------------------------------------------------------------------
-    def _failure(self, task: dict, attempt: int, exc, queue) -> None:
-        """Route one failed attempt: retry with backoff, or quarantine."""
+    def _settle(self, task: dict, attempt: int, result, exc):
+        """Commit one finished attempt, or route its failure.
+
+        Returns the ready time of a retry (full-jitter backoff), or
+        ``None`` when the task is settled: committed or quarantined.
+        """
         from repro import obs
 
+        if exc is None:
+            self._commit(task, attempt, result)
+            return None
+        if isinstance(exc, TaskTimeout):
+            exc = TimeoutError(
+                f"shard exceeded --task-timeout={self.cfg.task_timeout_s}s"
+            )
         key = task_key(task)
         reason = f"{type(exc).__name__}: {exc}"
         self._append("failed", task=key, attempt=attempt, error=reason[:500])
@@ -293,9 +306,9 @@ class ShardSupervisor:
             delay = full_jitter_backoff(
                 attempt, self.cfg.backoff_s, self.cfg.max_backoff_s, self.rng
             )
-            queue.append((task, attempt + 1, time.monotonic() + delay))
-            return
+            return time.monotonic() + delay
         self._quarantine(task, attempt, reason)
+        return None
 
     def _quarantine(self, task: dict, attempts: int, reason: str) -> None:
         from repro import obs
@@ -356,148 +369,27 @@ class ShardSupervisor:
             try:
                 result = _process_shard(self._prepare(task, attempt, False))
             except Exception as exc:
-                self._failure(task, attempt, exc, queue)
+                ready_at = self._settle(task, attempt, None, exc)
             else:
-                self._commit(task, attempt, result)
+                ready_at = self._settle(task, attempt, result, None)
+            if ready_at is not None:
+                queue.append((task, attempt + 1, ready_at))
 
     # ------------------------------------------------------------------
     def _run_parallel(self, pending: list) -> None:
+        """Shards on the supervised pool; leftovers finish serially."""
         from repro.fleet.engine import _process_shard
 
-        max_workers = min(self.cfg.jobs, len(pending))
-        queue: deque = deque((t, 1, 0.0) for t in pending)
-        in_flight: dict = {}  # future -> (task, attempt, deadline)
-        abandoned = 0
-        broken = False
-        try:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-        except OSError:
-            # Restricted environment: no pool at all, run serially.
-            self._run_serial(queue)
-            return
-        try:
-            while queue or in_flight:
-                if broken:
-                    try:
-                        pool = self._recreate_pool(pool, max_workers)
-                    except OSError:
-                        # Could not bring a fresh pool up; finish what
-                        # is left (queued and in flight) serially
-                        # rather than giving up.
-                        for task, attempt, _ in in_flight.values():
-                            queue.append((task, attempt, 0.0))
-                        in_flight.clear()
-                        self._run_serial(queue)
-                        break
-                    broken = False
-                capacity = max_workers - abandoned
-                if capacity <= 0:
-                    # Every slot is wedged; the remainder runs serially
-                    # in the parent (wedged workers die at shutdown).
-                    self._run_serial(queue)
-                    queue.clear()
-                    break
+        def on_submit(task: dict, attempt: int) -> dict:
+            self._append("attempt", task=task_key(task), attempt=attempt)
+            return self._prepare(task, attempt, True)
 
-                now = time.monotonic()
-                while queue and len(in_flight) < capacity and not broken:
-                    idx = next(
-                        (
-                            i
-                            for i, (_, _, ready) in enumerate(queue)
-                            if ready <= now
-                        ),
-                        None,
-                    )
-                    if idx is None:
-                        break
-                    queue.rotate(-idx)
-                    task, attempt, ready_at = queue.popleft()
-                    queue.rotate(idx)
-                    self._append(
-                        "attempt", task=task_key(task), attempt=attempt
-                    )
-                    try:
-                        future = pool.submit(
-                            _process_shard, self._prepare(task, attempt, True)
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        broken = True
-                        queue.appendleft((task, attempt, ready_at))
-                        break
-                    deadline = (
-                        now + self.cfg.task_timeout_s
-                        if self.cfg.task_timeout_s
-                        else None
-                    )
-                    in_flight[future] = (task, attempt, deadline)
-
-                if not in_flight:
-                    if broken:
-                        continue
-                    if queue:
-                        # Everything queued is backing off; sleep until
-                        # the earliest becomes ready.
-                        soonest = min(ready for _, _, ready in queue)
-                        time.sleep(
-                            max(0.0, min(soonest - time.monotonic(), 0.5))
-                        )
-                    continue
-
-                poll = 0.05 if self.cfg.task_timeout_s else (0.25 if queue else None)
-                done, _ = wait(
-                    list(in_flight), timeout=poll, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    task, attempt, _ = in_flight.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        # A worker died (chaos kill, OOM): the pool and
-                        # every sibling future die with it.  Each victim
-                        # comes back through here and is requeued; the
-                        # next submission round gets a fresh pool.
-                        broken = True
-                        self._failure(task, attempt, exc, queue)
-                    except Exception as exc:
-                        self._failure(task, attempt, exc, queue)
-                    else:
-                        self._commit(task, attempt, result)
-
-                now = time.monotonic()
-                for future, (task, attempt, deadline) in list(in_flight.items()):
-                    if deadline is None or now <= deadline or future.done():
-                        continue
-                    # Past deadline: the worker may be wedged.  Abandon
-                    # the future, write the slot off, and retry in a
-                    # fresh one; the process is terminated at shutdown.
-                    del in_flight[future]
-                    abandoned += 1
-                    self._failure(
-                        task,
-                        attempt,
-                        TimeoutError(
-                            "shard exceeded --task-timeout="
-                            f"{self.cfg.task_timeout_s}s"
-                        ),
-                        queue,
-                    )
-        finally:
-            self._shutdown_pool(pool, force=bool(abandoned))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _shutdown_pool(pool, force: bool) -> None:
-        if force:
-            pool.shutdown(wait=False, cancel_futures=True)
-            processes = getattr(pool, "_processes", None) or {}
-            for proc in list(processes.values()):
-                try:
-                    proc.terminate()
-                except (OSError, AttributeError):  # pragma: no cover
-                    pass
-        else:
-            pool.shutdown(wait=True)
-
-    def _recreate_pool(self, pool, max_workers: int):
-        self._shutdown_pool(pool, force=True)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        leftovers = supervise(
+            _process_shard,
+            pending,
+            self.cfg.jobs,
+            timeout_s=self.cfg.task_timeout_s,
+            on_submit=on_submit,
+            on_done=self._settle,
+        )
+        self._run_serial(deque(leftovers))

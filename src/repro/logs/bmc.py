@@ -263,14 +263,30 @@ def sensor_dropout_windows(
     quarantines.  Experiments can subtract these windows from their
     denominator instead of treating silence as healthy telemetry.
     """
-    if samples.size == 0:
-        return []
-    times = np.unique(samples["time"])
-    if times.size < 2:
-        return []
-    gaps = np.diff(times)
-    idx = np.nonzero(gaps > min_gap * cadence_s)[0]
-    return [(float(times[i]), float(times[i + 1])) for i in idx]
+    starts, ends, _ = dropout_gaps(samples["time"], min_gap * cadence_s)
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def dropout_gaps(
+    times: np.ndarray, gap_limit: float, watermark: float | None = None
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Gaps wider than ``gap_limit`` in a sample-time stream, past a watermark.
+
+    The one sensor-dropout walk, shared by :func:`sensor_dropout_windows`
+    (no watermark), the live ``sensor_dropout`` alert rule and the
+    rollup dropout tallies (both carry ``watermark`` across batches).
+    Distinct times at or below the watermark are late replays and are
+    dropped; the watermark is prepended to the rest, so a gap can open
+    at the previous batch's last sample.  Returns ``(starts, ends,
+    new_watermark)``.
+    """
+    times = np.unique(times)
+    if watermark is not None:
+        times = np.concatenate(([watermark], times[times > watermark]))
+    if times.size == 0:
+        return times, times, watermark
+    idx = np.flatnonzero(np.diff(times) > gap_limit)
+    return times[idx], times[idx + 1], float(times[-1])
 
 
 def filter_valid_samples(samples: np.ndarray) -> tuple[np.ndarray, float]:

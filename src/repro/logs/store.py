@@ -3,8 +3,8 @@
 Text logs are the interchange format; repeated analysis runs want
 something faster.  ``save_records``/``load_records`` wrap ``.npy`` files
 with dtype checking, and :func:`shard_by_rack` splits an error stream
-into one file per rack -- the unit of work for the shard-parallel engine
-(:mod:`repro.parallel`) and the fleet engine (:mod:`repro.fleet`).
+into one file per rack -- the unit of work for the fleet engine
+(:mod:`repro.fleet`).
 
 Loading supports two modes:
 

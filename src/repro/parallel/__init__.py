@@ -1,25 +1,17 @@
-"""Shard-parallel execution of the analyses.
+"""Process-pool execution of the analyses.
 
-The study's raw data is ~8 GiB of logs; the natural unit of parallelism
-is the rack (nodes never share faults across racks, and every positional
+The natural units of parallelism are the experiment and the rack shard
+(nodes never share faults across racks, and every positional
 aggregation is a sum of per-rack partials).  This subpackage provides:
 
-- :mod:`repro.parallel.sharding` -- splitting record streams into
-  per-rack shards and merging partial aggregates;
-- :mod:`repro.parallel.executor` -- a process-pool map-reduce over
-  shards with a serial fallback, following the guides' advice to keep
-  per-task work in vectorised NumPy and communication to small reduced
-  arrays.
+- :mod:`repro.parallel.executor` -- :func:`map_tasks`, the plain
+  ordered map with a serial fallback, and :func:`supervise`, the one
+  supervised scheduler under the experiment runner and the fleet
+  supervisor (deadlines, slot write-off, pool recreation, requeue);
+- :mod:`repro.parallel.sharding` -- merging per-shard partial counts.
 """
 
-from repro.parallel.sharding import shard_errors, merge_counts, merge_fault_arrays
-from repro.parallel.executor import ShardMapReduce, map_tasks, parallel_coalesce
+from repro.parallel.executor import map_tasks, supervise
+from repro.parallel.sharding import merge_counts
 
-__all__ = [
-    "shard_errors",
-    "merge_counts",
-    "merge_fault_arrays",
-    "ShardMapReduce",
-    "map_tasks",
-    "parallel_coalesce",
-]
+__all__ = ["map_tasks", "merge_counts", "supervise"]

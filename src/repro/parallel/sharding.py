@@ -1,38 +1,13 @@
-"""Sharding record streams by rack and merging partial results.
+"""Merging per-shard partial results.
 
 Sharding by rack is *exact* for this workload: the coalescing key
-(node, slot, rank, bank) never spans racks, so per-shard coalescing
-followed by concatenation equals whole-stream coalescing (up to row
-order), and per-structure counts add.
+(node, slot, rank, bank) never spans racks, so per-structure counts of
+the shards add up to the counts of the whole stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.machine.topology import AstraTopology
-
-
-def shard_errors(
-    errors: np.ndarray, topology: AstraTopology | None = None
-) -> list[np.ndarray]:
-    """Split an error stream into per-rack shards (non-empty only).
-
-    Returns views ordered by rack id; concatenating them yields a
-    rack-sorted permutation of the input.
-    """
-    topo = topology or AstraTopology()
-    if errors.size == 0:
-        return []
-    racks = topo.rack_of(errors["node"].astype(np.int64))
-    order = np.argsort(racks, kind="stable")
-    sorted_errors = errors[order]
-    sorted_racks = racks[order]
-    boundaries = np.flatnonzero(
-        np.concatenate([[True], sorted_racks[1:] != sorted_racks[:-1]])
-    )
-    bounds = np.append(boundaries, errors.size)
-    return [sorted_errors[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def merge_counts(partials: list[np.ndarray]) -> np.ndarray:
@@ -43,13 +18,4 @@ def merge_counts(partials: list[np.ndarray]) -> np.ndarray:
     out = np.zeros(n, dtype=np.int64)
     for p in partials:
         out[: p.size] += p
-    return out
-
-
-def merge_fault_arrays(partials: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-shard fault arrays, renumbering fault ids."""
-    if not partials:
-        raise ValueError("nothing to merge")
-    out = np.concatenate(partials)
-    out["fault_id"] = np.arange(out.size)
     return out

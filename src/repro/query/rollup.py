@@ -57,6 +57,7 @@ import numpy as np
 from repro import ReproError
 from repro._util import atomic_write, mismatch
 from repro.faults.types import ERROR_DTYPE, FAULT_DTYPE, FaultMode
+from repro.logs.bmc import dropout_gaps
 from repro.logs.integrity import crc32c
 
 #: Bump on any change to the snapshot payload or manifest layout.
@@ -293,25 +294,23 @@ class RollupStore:
     def observe_sensors(self, samples: np.ndarray) -> None:
         """Fold BMC samples into the dropout tallies.
 
-        Mirrors the ``sensor_dropout`` alert rule's high-water-mark walk
-        exactly (same gap limit, same watermark advance), so the tallies
-        agree with the alert stream record for record.
+        Runs the ``sensor_dropout`` alert rule's walk
+        (:func:`repro.logs.bmc.dropout_gaps`, same gap limit, same
+        watermark), so the tallies agree with the alert stream record
+        for record.
         """
         if samples.size == 0:
             return
-        ts = np.unique(samples["time"])
-        gap_limit = self.config.dropout_min_gap * self.config.dropout_cadence_s
-        prev = self._sensor_watermark
-        n_drop = 0
+        starts, ends, self._sensor_watermark = dropout_gaps(
+            samples["time"],
+            self.config.dropout_min_gap * self.config.dropout_cadence_s,
+            self._sensor_watermark,
+        )
         gap_s = 0.0
-        for t in ts.tolist():
-            if prev is not None and t > prev and (t - prev) > gap_limit:
-                n_drop += 1
-                gap_s += t - prev
-            prev = t if prev is None else max(prev, t)
-        self._sensor_watermark = prev
+        for gap in (ends - starts).tolist():  # a running sum, in time order
+            gap_s += gap
         self.sensor_samples += int(samples.size)
-        self.dropout_count += n_drop
+        self.dropout_count += int(starts.size)
         self.dropout_seconds += gap_s
 
     def set_faults(self, faults: np.ndarray, node_offset: int = 0) -> None:

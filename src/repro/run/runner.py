@@ -2,24 +2,26 @@
 
 Experiments are independent read-only consumers of the campaign arrays,
 so a full regeneration run is embarrassingly parallel across
-experiments.  The runner fans registered experiment ids out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`; each task ships only
-its id string, and workers obtain the campaign either by fork
-inheritance (free on Linux), by unpickling it once per worker at
-initialisation, or by loading a campaign directory's binary mirrors.
+experiments.  The runner fans registered experiment ids out over the
+supervised pool of :func:`repro.parallel.executor.supervise` (the
+scheduler the fleet supervisor also runs on); each task ships only its
+id string, and workers obtain the campaign either by fork inheritance
+(free on Linux), by unpickling it once per worker at initialisation,
+or by loading a campaign directory's binary mirrors.
 
-Robustness model:
+Robustness model (the runner's policy; the scheduler does the rest):
 
-- a worker that *raises* degrades to re-running the experiment serially
-  in the parent (mode ``"serial-fallback"``), with bounded
-  retry-with-backoff on top;
+- a worker that *raises* or *dies* degrades to re-running the
+  experiment serially in the parent (mode ``"serial-fallback"``), with
+  bounded retry-with-backoff on top; experiments still queued when a
+  worker dies run in a fresh pool;
 - a worker that *wedges* past the per-experiment ``timeout_s`` is
   abandoned (its slot is written off, its process terminated at
   shutdown) and the experiment is re-submitted up to ``retries`` times
   before being reported as ``timeout`` -- one stuck experiment costs
   its own result, never the whole parallel run;
-- a pool that never comes up (restricted environments) runs everything
-  serially, as before.
+- what the pool hands back (no live slot, or no pool comes up in a
+  restricted environment) runs serially.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import multiprocessing
 import os
 import random
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 
 from repro import obs
 from repro._util import full_jitter_backoff
 from repro.obs.trace import attach_tree
+from repro.parallel.executor import TaskTimeout, supervise
 from repro.run.report import ExperimentMetrics, RunReport
 
 # Campaign handed to pool workers. Under the ``fork`` start method the
@@ -70,10 +71,10 @@ def _worker_run(
 ):
     """Run one experiment in a worker.
 
-    Returns ``(exp_id, result, wall_s, obs_payload)``: the worker
-    captures its own spans/metrics/profiles into a fresh store (never
-    the state a fork inherited) and ships them back for the parent to
-    merge, so parallel runs produce one trace tree and one registry.
+    Returns ``(result, wall_s, obs_payload)``: the worker captures its
+    own spans/metrics/profiles into a fresh store (never the state a
+    fork inherited) and ships them back for the parent to merge, so
+    parallel runs produce one trace tree and one registry.
     """
     from repro import experiments, obs
 
@@ -86,7 +87,7 @@ def _worker_run(
             )
         finally:
             obs.configure(profile=False)
-    return exp_id, result, time.perf_counter() - t0, cap.payload()
+    return result, time.perf_counter() - t0, cap.payload()
 
 
 @dataclass
@@ -259,14 +260,12 @@ class ExperimentRunner:
     def _run_parallel(
         self, campaign, exp_ids, metrics, results, worker_traces
     ) -> list:
-        """Fan out over a process pool; returns ids needing a serial run.
+        """Fan out over the supervised pool; returns ids needing a serial run.
 
-        Tasks are fed to the pool at most ``max_workers`` at a time so a
-        per-experiment deadline measures *run* time, not queue time.  A
-        future past its deadline is abandoned: the experiment is
-        re-queued (up to ``retries`` times) and the wedged worker's slot
-        is written off; if slots run out, the remainder falls back to
-        the serial path.
+        The scheduler is :func:`repro.parallel.executor.supervise`; this
+        method is the runner's policy: a worker that raised or died
+        sends its experiment to the serial fallback, a timeout is
+        re-submitted up to ``retries`` times and then reported.
         """
         if multiprocessing.get_start_method() == "fork":
             # Fork shares the campaign (initargs are not serialised).
@@ -275,107 +274,48 @@ class ExperimentRunner:
             initargs = (None, str(self.campaign_dir))
         else:
             initargs = (campaign, None)  # pickled once per worker
+        fallback: list = []
 
-        max_workers = min(self.jobs, len(exp_ids))
-        pending_serial: list = []
-        abandoned = 0
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_worker_init,
-                initargs=initargs,
-            )
-            queue = deque((e, 1) for e in exp_ids)
-            in_flight: dict = {}  # future -> (exp_id, attempt, deadline)
-
-            while queue or in_flight:
-                capacity = max_workers - abandoned
-                if capacity <= 0:
-                    # Every slot is wedged; the rest runs serially.
-                    pending_serial.extend(e for e, _ in queue)
-                    queue.clear()
-                    break
-                while queue and len(in_flight) < capacity:
-                    exp_id, attempt = queue.popleft()
-                    future = pool.submit(
-                        _worker_run,
-                        exp_id,
-                        self.min_coverage,
-                        obs.tracing_enabled(),
-                        obs.profiling_enabled(),
-                    )
-                    deadline = (
-                        time.monotonic() + self.timeout_s
-                        if self.timeout_s
-                        else None
-                    )
-                    in_flight[future] = (exp_id, attempt, deadline)
-                if not in_flight:
-                    continue
-
-                poll = 0.05 if self.timeout_s else None
-                done, _ = wait(
-                    list(in_flight), timeout=poll, return_when=FIRST_COMPLETED
+        def on_done(exp_id, attempt, out, exc):
+            if isinstance(exc, TaskTimeout):
+                if attempt <= self.retries:
+                    return 0.0  # re-submit at once
+                metrics[exp_id] = ExperimentMetrics.from_error(
+                    exp_id,
+                    self.timeout_s,
+                    "parallel",
+                    TimeoutError(f"experiment exceeded --timeout={self.timeout_s}s"),
+                    attempts=attempt,
+                    timed_out=True,
                 )
-                for future in done:
-                    exp_id, attempt, _ = in_flight.pop(future)
-                    try:
-                        _, result, wall, payload = future.result()
-                    except Exception:
-                        # Worker raised or died: the serial fallback (with
-                        # its own retry budget) picks this experiment up.
-                        pending_serial.append(exp_id)
-                        continue
-                    roots = obs.merge_payload(payload)
-                    if roots:
-                        worker_traces[exp_id] = roots
-                    results[exp_id] = result
-                    obs.observe(f"experiment.wall_s.{exp_id}", wall)
-                    metrics[exp_id] = ExperimentMetrics.from_result(
-                        result, wall, "parallel", attempts=attempt
-                    )
+            elif exc is not None:
+                # Worker raised or died: the serial fallback (with its
+                # own retry budget) picks this experiment up.
+                fallback.append(exp_id)
+            else:
+                result, wall, payload = out
+                roots = obs.merge_payload(payload)
+                if roots:
+                    worker_traces[exp_id] = roots
+                results[exp_id] = result
+                obs.observe(f"experiment.wall_s.{exp_id}", wall)
+                metrics[exp_id] = ExperimentMetrics.from_result(
+                    result, wall, "parallel", attempts=attempt
+                )
+            return None
 
-                now = time.monotonic()
-                for future, (exp_id, attempt, deadline) in list(in_flight.items()):
-                    if deadline is None or now <= deadline or future.done():
-                        continue
-                    # Past deadline: abandon the future (the worker may be
-                    # wedged; it is terminated at shutdown) and either
-                    # retry in a fresh slot or report the timeout.
-                    del in_flight[future]
-                    abandoned += 1
-                    if attempt <= self.retries:
-                        queue.append((exp_id, attempt + 1))
-                    else:
-                        metrics[exp_id] = ExperimentMetrics.from_error(
-                            exp_id,
-                            self.timeout_s,
-                            "parallel",
-                            TimeoutError(
-                                f"experiment exceeded --timeout={self.timeout_s}s"
-                            ),
-                            attempts=attempt,
-                            timed_out=True,
-                        )
-        except (BrokenProcessPool, OSError):
-            # Pool never came up (restricted environment): run everything
-            # not yet finished serially.
-            pending_serial = [
-                e for e in exp_ids if e not in metrics and e not in results
-            ]
-        finally:
-            if pool is not None:
-                if abandoned:
-                    # Waiting would block on wedged workers; cut them loose
-                    # and terminate whatever is still running.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    processes = getattr(pool, "_processes", None) or {}
-                    for proc in list(processes.values()):
-                        try:
-                            proc.terminate()
-                        except (OSError, AttributeError):  # pragma: no cover
-                            pass
-                else:
-                    pool.shutdown(wait=True)
-        return pending_serial
+        leftovers = supervise(
+            partial(
+                _worker_run,
+                min_coverage=self.min_coverage,
+                want_trace=obs.tracing_enabled(),
+                want_profile=obs.profiling_enabled(),
+            ),
+            exp_ids,
+            self.jobs,
+            timeout_s=self.timeout_s,
+            initializer=_worker_init,
+            initargs=initargs,
+            on_done=on_done,
+        )
+        return fallback + [exp_id for exp_id, _, _ in leftovers]

@@ -42,8 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._util import fsync_dir, fsync_file
+from repro._util import fsync_dir, fsync_file, mismatch
 from repro.faults.types import FaultMode
+from repro.logs.bmc import dropout_gaps
+from repro.stream.checkpoint import CheckpointError
 from repro.stream.online_coalesce import OnlineCoalescer
 from repro.synth.het import EVENT_TYPES
 
@@ -88,6 +90,12 @@ class AlertRules:
         )
 
 
+_ALERTS_HINT = (
+    "restore the alerts file this stream wrote, or start over with "
+    "--no-resume"
+)
+
+
 class AlertSink:
     """Append-only JSONL alert writer with checkpointable position.
 
@@ -114,9 +122,12 @@ class AlertSink:
         created = not self.path.exists()
         with open(self.path, "ab") as fh:
             if fh.tell() != self.offset:
-                raise RuntimeError(
-                    f"{self.path}: alert file is {fh.tell()} bytes but the "
-                    f"sink has emitted {self.offset}; refusing to interleave"
+                raise mismatch(
+                    CheckpointError,
+                    f"{self.path}: alerts file size (another writer? "
+                    "refusing to interleave)",
+                    fh.tell(), f"{self.offset} bytes emitted by this stream",
+                    _ALERTS_HINT,
                 )
             for alert in alerts:
                 doc = {"seq": self.seq, **alert}
@@ -148,9 +159,12 @@ class AlertSink:
             )
         size = self.path.stat().st_size
         if size < self.offset:
-            raise RuntimeError(
-                f"{self.path}: alerts file shorter ({size}) than the "
-                f"checkpointed offset ({self.offset})"
+            raise mismatch(
+                CheckpointError,
+                f"{self.path}: alerts file size (shorter than the checkpoint "
+                "says)",
+                size, f"at least {self.offset} (the checkpointed offset)",
+                _ALERTS_HINT,
             )
         if size > self.offset:
             os.truncate(self.path, self.offset)
@@ -299,28 +313,21 @@ class AlertEngine:
         """``sensor_dropout`` alerts from the timestamp high-water mark."""
         if samples.size == 0:
             return []
-        ts = np.unique(samples["time"])
-        gap_limit = self.rules.dropout_min_gap * self.rules.dropout_cadence_s
-        alerts = []
-        prev = self._sensor_watermark
-        for t in ts.tolist():
-            if prev is not None and t > prev and (t - prev) > gap_limit:
-                alerts.append(
-                    {
-                        "rule": "sensor_dropout",
-                        "time": float(t),
-                        "batch": batch,
-                        "node": -1,
-                        "detail": {
-                            "gap_start": float(prev),
-                            "gap_end": float(t),
-                            "gap_s": float(t - prev),
-                        },
-                    }
-                )
-            prev = t if prev is None else max(prev, t)
-        self._sensor_watermark = prev
-        return alerts
+        starts, ends, self._sensor_watermark = dropout_gaps(
+            samples["time"],
+            self.rules.dropout_min_gap * self.rules.dropout_cadence_s,
+            self._sensor_watermark,
+        )
+        return [
+            {
+                "rule": "sensor_dropout",
+                "time": end,
+                "batch": batch,
+                "node": -1,
+                "detail": {"gap_start": start, "gap_end": end, "gap_s": end - start},
+            }
+            for start, end in zip(starts.tolist(), ends.tolist())
+        ]
 
     # -- checkpoint (de)serialisation ----------------------------------
     def to_state(self, changed: bool = False) -> dict:

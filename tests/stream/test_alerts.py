@@ -155,6 +155,60 @@ class TestHetAndSensors:
         assert eng.observe_sensors(self.samples([120]), 2) == []
 
 
+def _sensor_samples(times):
+    out = np.zeros(len(times), dtype=[("time", "f8"), ("node", "i8")])
+    out["time"] = times
+    return out
+
+
+def _reference_dropout_walk(times_batches, gap_limit):
+    """The per-timestamp high-water-mark loop the alert rule and the
+    rollup tallies each used to run: ``(gaps, final watermark)``."""
+    gaps, prev = [], None
+    for times in times_batches:
+        for t in np.unique(times).tolist():
+            if prev is not None and t > prev and (t - prev) > gap_limit:
+                gaps.append((prev, t))
+            prev = t if prev is None else max(prev, t)
+    return gaps, prev
+
+
+class TestDropoutWalk:
+    def test_matches_reference_loop(self):
+        from repro.query.rollup import RollupConfig, RollupStore
+
+        rng = np.random.default_rng(11)
+        steps = rng.choice([0.0, 30.0, 60.0, 60.0, 250.0, 900.0], 400)
+        times = np.cumsum(steps)  # zero steps: duplicate timestamps
+        batches = np.array_split(times, 9)
+        # Late replays: each later batch repeats times at or below the
+        # watermark the batches before it left.
+        for i in range(1, len(batches)):
+            old = np.concatenate(batches[:i])
+            late = rng.choice(old, 5)
+            batches[i] = np.concatenate([late, [old.max()], batches[i]])
+        eng, _ = engine()
+        limit = eng.rules.dropout_min_gap * eng.rules.dropout_cadence_s
+        store = RollupStore(RollupConfig())
+        got = []
+        for i, batch in enumerate(batches):
+            got.extend(eng.observe_sensors(_sensor_samples(batch), i))
+            store.observe_sensors(_sensor_samples(batch))
+        want, watermark = _reference_dropout_walk(batches, limit)
+        assert want  # the stream really has gaps
+        assert [
+            (a["detail"]["gap_start"], a["detail"]["gap_end"]) for a in got
+        ] == want
+        assert eng._sensor_watermark == watermark
+        tallies = store.sensor_tallies()
+        assert tallies["dropouts"] == len(want)
+        assert tallies["watermark"] == watermark
+        gap_s = 0.0
+        for start, end in want:
+            gap_s += end - start
+        assert tallies["gap_seconds"] == gap_s
+
+
 class TestEngineState:
     def test_round_trip_through_json(self):
         eng, oc = engine(ce_rate_threshold=2, ce_rate_window_s=50.0)

@@ -95,6 +95,28 @@ def test_stream_resume_over_corrupt_rollups_is_refused(
     assert "Traceback" not in err
 
 
+def test_stream_resume_over_emptied_alerts_is_refused(
+    text_campaign, tmp_path, capsys
+):
+    alerts = tmp_path / "alerts.jsonl"
+    argv = [
+        "stream", str(text_campaign),
+        "--checkpoint-dir", str(tmp_path / "ckpt"),
+        "--alerts-out", str(alerts),
+        "--batch-bytes", str(1 << 18),
+        "--max-batches", "1",
+    ]
+    assert main(argv) == 0
+    assert alerts.stat().st_size > 0
+    alerts.write_bytes(b"")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "shorter" in err
+    assert "hint:" in err and "--no-resume" in err
+    assert "Traceback" not in err
+
 def test_output_path_refusal_names_the_flag(text_campaign, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(
