@@ -10,6 +10,7 @@ vectorisable, seedable.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -128,6 +129,25 @@ def atomic_write(path, data: bytes) -> None:
         fsync_file(fh)
     os.replace(tmp, path)
     fsync_dir(os.path.dirname(path) or ".")
+
+
+class DictConfig:
+    """Mixin for frozen config dataclasses: :meth:`to_dict` lists the
+    fields in order; :meth:`from_dict` coerces each to its default's
+    type (a nested config through its own ``from_dict``)."""
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{
+            f.name: (
+                f.default.from_dict if isinstance(f.default, DictConfig)
+                else type(f.default)
+            )(d[f.name])
+            for f in dataclasses.fields(cls)
+        })
 
 
 def mismatch(error_cls, what: str, found, expected, hint: str) -> Exception:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro._util import DAY_S
+from repro._util import DAY_S, DictConfig
 from repro.predict.errors import PredictError
 from repro.predict.features import FeatureConfig, FeatureState
 from repro.stream.online_coalesce import OnlineCoalescer
@@ -84,7 +84,7 @@ def make_training_campaign(
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(DictConfig):
     """Labeling-protocol knobs (all times in seconds)."""
 
     #: Number of cut instants per campaign.
@@ -94,23 +94,6 @@ class DatasetConfig:
     #: Length of the label window after the lead gap.
     horizon_s: float = 7.0 * DAY_S
     feature: FeatureConfig = FeatureConfig()
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cuts": self.n_cuts,
-            "lead_s": self.lead_s,
-            "horizon_s": self.horizon_s,
-            "feature": self.feature.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetConfig":
-        return cls(
-            n_cuts=int(d["n_cuts"]),
-            lead_s=float(d["lead_s"]),
-            horizon_s=float(d["horizon_s"]),
-            feature=FeatureConfig.from_dict(d["feature"]),
-        )
 
 
 @dataclass

@@ -16,8 +16,12 @@ it in one shot produce the *same* window counters, so online scores are
 byte-identical to batch scores (the differential tests assert this).
 
 :class:`FeatureState` carries only integer counters and timestamps and
-serialises to JSON for the PR-5 checkpoint format; the distinct-value
-spread features are read at extraction time from the
+serialises to JSON for the stream checkpoint format.  Its CE, UE and
+sensor-dropout windows are three :class:`~repro.window_counts.WindowCounts`
+-- the one per-(node, window) counter, also kept by the ``ce_rate``
+alert rule and the rollup cubes -- and the horizon sums are masked
+bincounts over their columns.  The distinct-value spread features are
+read at extraction time from the
 :class:`~repro.stream.online_coalesce.OnlineCoalescer` the caller
 already maintains, so the evidence sets are never duplicated.
 """
@@ -25,12 +29,17 @@ already maintains, so the evidence sets are never duplicated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
+from repro._util import DictConfig
 from repro.faults.types import ERROR_DTYPE, FaultMode
+from repro.logs.bmc import dropout_gaps
 from repro.predict.errors import PredictError
 from repro.synth.het import HET_DTYPE
+from repro.window_counts import WindowCounts
 
 #: Version of the feature vector layout.  Models record it; scoring a
 #: model against a different version is a hard exit-2 error.
@@ -66,11 +75,9 @@ FEATURE_NAMES = (
 #: Column index per feature name.
 FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
-_MAX_HORIZON_W = max(HORIZONS_W)
-
 
 @dataclass(frozen=True)
-class FeatureConfig:
+class FeatureConfig(DictConfig):
     """Knobs of the feature grid (all times in seconds)."""
 
     #: Width of one counting window; horizons are multiples of this.
@@ -79,21 +86,6 @@ class FeatureConfig:
     dropout_cadence_s: float = 60.0
     #: A gap of more than this many cadences counts as one dropout.
     dropout_min_gap: int = 5
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "dropout_cadence_s": self.dropout_cadence_s,
-            "dropout_min_gap": self.dropout_min_gap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        return cls(
-            window_s=float(d["window_s"]),
-            dropout_cadence_s=float(d["dropout_cadence_s"]),
-            dropout_min_gap=int(d["dropout_min_gap"]),
-        )
 
 
 class FeatureState:
@@ -107,28 +99,24 @@ class FeatureState:
 
     def __init__(self, config: FeatureConfig | None = None):
         self.config = config or FeatureConfig()
-        #: node -> {window -> CE count}
-        self._ce: dict[int, dict[int, int]] = {}
-        #: node -> lifetime CE count
-        self._ce_total: dict[int, int] = {}
+        #: CE and non-recoverable HET (UE) events per (node, window).
+        self._ce = WindowCounts()
+        self._ue = WindowCounts()
+        #: Fleet-wide sensor dropouts per window, all under node 0.
+        self._dropout = WindowCounts()
         self._first_time: dict[int, float] = {}
         self._last_time: dict[int, float] = {}
-        #: node -> {window -> UE count} and node -> lifetime UE count
-        self._ue: dict[int, dict[int, int]] = {}
-        self._ue_total: dict[int, int] = {}
-        #: fleet-wide sensor dropout: {window -> count} and lifetime total
-        self._dropout: dict[int, int] = {}
-        self.dropout_total = 0
+        #: High-water mark of the sensor sample times walked so far.
         self._sensor_last: float | None = None
         #: Latest folded CE/HET event time.
         self.watermark: float | None = None
-        #: Nodes and dropout windows folded since :meth:`clear_changes`.
-        self._changed_nodes: set[int] = set()
-        self._changed_windows: set[int] = set()
 
     # ------------------------------------------------------------------
     def _window(self, t: float) -> int:
         return int(np.floor(t / self.config.window_s))
+
+    def _windows(self, times: np.ndarray) -> np.ndarray:
+        return np.floor(times / self.config.window_s).astype(np.int64)
 
     def _advance(self, t: float) -> None:
         if self.watermark is None or t > self.watermark:
@@ -143,37 +131,18 @@ class FeatureState:
             return
         nodes = errors["node"].astype(np.int64)
         times = errors["time"].astype(np.float64)
-        wins = np.floor(times / self.config.window_s).astype(np.int64)
+        self._ce.add(nodes, self._windows(times))
 
-        # Per-(node, window) counts in one vectorised pass.
-        order = np.lexsort((wins, nodes))
-        sn, sw = nodes[order], wins[order]
-        seg = np.ones(sn.size, dtype=bool)
-        seg[1:] = (sn[1:] != sn[:-1]) | (sw[1:] != sw[:-1])
-        starts = np.flatnonzero(seg)
-        counts = np.diff(np.append(starts, sn.size))
-        for node, win, c in zip(
-            sn[starts].tolist(), sw[starts].tolist(), counts.tolist()
-        ):
-            d = self._ce.get(node)
-            if d is None:
-                d = self._ce[node] = {}
-            d[win] = d.get(win, 0) + c
-
-        # Per-node first/last times and totals.
+        # Per-node first/last times.
         order = np.lexsort((times, nodes))
         sn, st = nodes[order], times[order]
         seg = np.ones(sn.size, dtype=bool)
         seg[1:] = sn[1:] != sn[:-1]
         starts = np.flatnonzero(seg)
         ends = np.append(starts[1:], sn.size) - 1
-        totals = np.diff(np.append(starts, sn.size))
-        for node, tmin, tmax, c in zip(
-            sn[starts].tolist(), st[starts].tolist(),
-            st[ends].tolist(), totals.tolist(),
+        for node, tmin, tmax in zip(
+            sn[starts].tolist(), st[starts].tolist(), st[ends].tolist()
         ):
-            self._ce_total[node] = self._ce_total.get(node, 0) + c
-            self._changed_nodes.add(node)
             prev = self._first_time.get(node)
             if prev is None or tmin < prev:
                 self._first_time[node] = tmin
@@ -190,42 +159,37 @@ class FeatureState:
             return
         self._advance(float(het["time"].max()))
         ue = het[het["non_recoverable"]]
-        for node, t in zip(ue["node"].tolist(), ue["time"].tolist()):
-            node = int(node)
-            win = self._window(t)
-            d = self._ue.get(node)
-            if d is None:
-                d = self._ue[node] = {}
-            d[win] = d.get(win, 0) + 1
-            self._ue_total[node] = self._ue_total.get(node, 0) + 1
-            self._changed_nodes.add(node)
+        self._ue.add(ue["node"], self._windows(ue["time"]))
 
     def observe_sensor_times(self, times: np.ndarray) -> None:
-        """Walk fleet sensor sample times, counting cadence dropouts.
+        """Count fleet sensor dropouts in a batch of sample times.
 
-        Mirrors the PR-5 ``sensor_dropout`` alert rule: a gap longer than
-        ``dropout_min_gap`` cadences between consecutive samples counts
-        as one dropout, attributed to the window of the gap's end.
-        Sensor ticks do not advance the event watermark.
+        Runs the ``sensor_dropout`` alert rule's walk
+        (:func:`repro.logs.bmc.dropout_gaps`, with ``_sensor_last`` as
+        the watermark, so late replays open no gap): a gap longer than
+        ``dropout_min_gap`` cadences counts as one dropout, attributed
+        to the window of the gap's end.  Sensor ticks do not advance the
+        event watermark.
         """
         if len(times) == 0:
             return
-        limit = self.config.dropout_min_gap * self.config.dropout_cadence_s
-        prev = self._sensor_last
-        for t in np.asarray(times, dtype=np.float64).tolist():
-            if prev is not None and t - prev > limit:
-                win = self._window(t)
-                self._dropout[win] = self._dropout.get(win, 0) + 1
-                self._changed_windows.add(win)
-                self.dropout_total += 1
-            prev = t
-        self._sensor_last = prev
+        _, ends, self._sensor_last = dropout_gaps(
+            np.asarray(times, dtype=np.float64),
+            self.config.dropout_min_gap * self.config.dropout_cadence_s,
+            self._sensor_last,
+        )
+        self._dropout.add(np.zeros(ends.size, np.int64), self._windows(ends))
 
     # ------------------------------------------------------------------
     @property
+    def dropout_total(self) -> int:
+        """Lifetime fleet sensor dropouts."""
+        return int(self._dropout.counts.sum())
+
+    @property
     def nodes_seen(self) -> list[int]:
         """Nodes with at least one folded CE, ascending."""
-        return sorted(self._ce)
+        return np.unique(self._ce.nodes).tolist()
 
     def _node_groups(self, coalescer) -> dict[int, list[tuple]]:
         out: dict[int, list[tuple]] = {}
@@ -254,15 +218,27 @@ class FeatureState:
                 "folded yet; hint: pass at= or fold a batch first"
             )
         W = self._window(at)
-        n = len(nodes)
-        X = np.zeros((n, len(FEATURE_NAMES)), dtype=np.float64)
+        X = np.zeros((len(nodes), len(FEATURE_NAMES)), dtype=np.float64)
 
         # Fleet-wide dropout features are shared by every row.
-        drop24 = sum(
-            c for w, c in self._dropout.items() if 0 <= W - w < 24
+        dropouts = _window_sums(self._dropout, np.zeros(1, np.int64), W)
+        X[:, FEATURE_INDEX["dropout_w24"]] = dropouts(24)[0]
+        X[:, FEATURE_INDEX["dropout_total"]] = dropouts()[0]
+        if not len(nodes):
+            return X
+        want, idx = np.unique(
+            np.asarray(nodes, dtype=np.int64), return_inverse=True
         )
-        X[:, FEATURE_INDEX["dropout_w24"]] = drop24
-        X[:, FEATURE_INDEX["dropout_total"]] = self.dropout_total
+        ce = _window_sums(self._ce, want, W)
+        ue = _window_sums(self._ue, want, W)
+        for h in HORIZONS_W:
+            X[:, FEATURE_INDEX[f"ce_w{h}"]] = ce(h)[idx]
+        X[:, FEATURE_INDEX["active_w24"]] = ce(24, weighted=False)[idx]
+        total = ce()[idx]
+        X[:, FEATURE_INDEX["ce_total"]] = total
+        X[:, FEATURE_INDEX["log_ce_total"]] = np.log1p(total)
+        X[:, FEATURE_INDEX["ue_total"]] = ue()[idx]
+        X[:, FEATURE_INDEX["ue_w168"]] = ue(168)[idx]
 
         groups_by_node = (
             self._node_groups(coalescer) if coalescer is not None else {}
@@ -280,30 +256,9 @@ class FeatureState:
         for i, node in enumerate(nodes):
             node = int(node)
             row = X[i]
-            d = self._ce.get(node)
-            if d:
-                totals = dict.fromkeys(HORIZONS_W, 0)
-                active24 = 0
-                for w, c in d.items():
-                    delta = W - w
-                    if delta < 0:
-                        continue  # events past the extraction instant
-                    for h in HORIZONS_W:
-                        if delta < h:
-                            totals[h] += c
-                    if delta < 24:
-                        active24 += 1
-                row[FEATURE_INDEX["ce_w1"]] = totals[1]
-                row[FEATURE_INDEX["ce_w6"]] = totals[6]
-                row[FEATURE_INDEX["ce_w24"]] = totals[24]
-                row[FEATURE_INDEX["ce_w168"]] = totals[168]
-                row[FEATURE_INDEX["active_w24"]] = active24
-                total = self._ce_total[node]
-                row[FEATURE_INDEX["ce_total"]] = total
-                row[FEATURE_INDEX["log_ce_total"]] = np.log1p(float(total))
-                row[FEATURE_INDEX["age_w"]] = W - self._window(
-                    self._first_time[node]
-                )
+            first = self._first_time.get(node)
+            if first is not None:
+                row[FEATURE_INDEX["age_w"]] = W - self._window(first)
                 row[FEATURE_INDEX["gap_w"]] = W - self._window(
                     self._last_time[node]
                 )
@@ -333,41 +288,34 @@ class FeatureState:
                         FaultMode.SINGLE_BIT, FaultMode.UNATTRIBUTED
                     )
                 )
-
-            ud = self._ue.get(node)
-            if ud:
-                row[FEATURE_INDEX["ue_total"]] = self._ue_total[node]
-                row[FEATURE_INDEX["ue_w168"]] = sum(
-                    c for w, c in ud.items() if 0 <= W - w < 168
-                )
         return X
 
     # -- checkpoint (de)serialisation ----------------------------------
     def to_state(self, changed: bool = False) -> dict:
         """Checkpoint state; ``changed`` keeps only the nodes and dropout
         windows folded since :meth:`clear_changes` (a journal delta)."""
+        nodes = None
+        if changed:
+            nodes = np.union1d(
+                self._ce.nodes[self._ce.changed],
+                self._ue.nodes[self._ue.changed],
+            )
 
-        def rows(d: dict, keys: set) -> list:
-            if not changed:
+        def rows(d: dict) -> list:
+            if nodes is None:
                 return sorted(d.items())
-            return sorted((k, d[k]) for k in keys if k in d)
+            return sorted((k, d[k]) for k in nodes.tolist() if k in d)
 
-        nodes, windows = self._changed_nodes, self._changed_windows
+        ce, ue = _node_rows(self._ce, nodes), _node_rows(self._ue, nodes)
         return {
             "config": self.config.to_dict(),
-            "ce": [
-                [node, sorted(wins.items())]
-                for node, wins in rows(self._ce, nodes)
-            ],
-            "ce_total": rows(self._ce_total, nodes),
-            "first_time": rows(self._first_time, nodes),
-            "last_time": rows(self._last_time, nodes),
-            "ue": [
-                [node, sorted(wins.items())]
-                for node, wins in rows(self._ue, nodes)
-            ],
-            "ue_total": rows(self._ue_total, nodes),
-            "dropout": rows(self._dropout, windows),
+            "ce": ce,
+            "ce_total": _totals(ce),
+            "first_time": rows(self._first_time),
+            "last_time": rows(self._last_time),
+            "ue": ue,
+            "ue_total": _totals(ue),
+            "dropout": [[w, c] for _, w, c in self._dropout.rows(changed)],
             "dropout_total": self.dropout_total,
             "sensor_last": self._sensor_last,
             "watermark": self.watermark,
@@ -375,28 +323,23 @@ class FeatureState:
 
     def clear_changes(self) -> None:
         """Mark the current state as checkpointed."""
-        self._changed_nodes.clear()
-        self._changed_windows.clear()
+        for counts in (self._ce, self._ue, self._dropout):
+            counts.clear_changes()
 
     @classmethod
     def from_state(cls, state: dict) -> "FeatureState":
+        # The ``*_total`` fields are sums of the window rows: derived,
+        # not read back.
         self = cls(FeatureConfig.from_dict(state["config"]))
-        self._ce = {
-            int(node): {int(w): int(c) for w, c in wins}
-            for node, wins in state["ce"]
-        }
-        self._ce_total = {int(n): int(c) for n, c in state["ce_total"]}
+        self._ce = _from_node_rows(state["ce"])
+        self._ue = _from_node_rows(state["ue"])
+        self._dropout = WindowCounts.from_rows(
+            [[0, w, c] for w, c in state["dropout"]]
+        )
         self._first_time = {
             int(n): float(t) for n, t in state["first_time"]
         }
         self._last_time = {int(n): float(t) for n, t in state["last_time"]}
-        self._ue = {
-            int(node): {int(w): int(c) for w, c in wins}
-            for node, wins in state["ue"]
-        }
-        self._ue_total = {int(n): int(c) for n, c in state["ue_total"]}
-        self._dropout = {int(w): int(c) for w, c in state["dropout"]}
-        self.dropout_total = int(state["dropout_total"])
         self._sensor_last = (
             None if state["sensor_last"] is None
             else float(state["sensor_last"])
@@ -405,3 +348,41 @@ class FeatureState:
             None if state["watermark"] is None else float(state["watermark"])
         )
         return self
+
+
+def _window_sums(counts: WindowCounts, nodes: np.ndarray, W: int):
+    """``sums(horizon=None, weighted=True)``: per node of ``nodes``
+    (ascending, distinct), its count -- or its nonempty windows -- over
+    the last ``horizon`` windows ending at ``W`` (``None``: lifetime)."""
+    sel = np.isin(counts.nodes, nodes)
+    slot = np.searchsorted(nodes, counts.nodes[sel])
+    age = W - counts.windows[sel]
+    weights = counts.counts[sel]
+
+    def sums(horizon: int | None = None, weighted: bool = True):
+        keep = slice(None) if horizon is None else (age >= 0) & (age < horizon)
+        return np.bincount(
+            slot[keep], weights[keep] if weighted else None, nodes.size
+        )
+
+    return sums
+
+
+def _node_rows(counts: WindowCounts, nodes: np.ndarray | None) -> list:
+    """``[node, [[window, count], ...]]`` rows, ascending (only ``nodes``)."""
+    sel = slice(None) if nodes is None else np.isin(counts.nodes, nodes)
+    flat = np.stack((counts.nodes, counts.windows, counts.counts), 1)[sel]
+    return [
+        [node, [[w, c] for _, w, c in run]]
+        for node, run in groupby(flat.tolist(), key=itemgetter(0))
+    ]
+
+
+def _totals(node_rows: list) -> list:
+    return [[node, sum(c for _, c in wins)] for node, wins in node_rows]
+
+
+def _from_node_rows(node_rows: list) -> WindowCounts:
+    return WindowCounts.from_rows(
+        [[n, w, c] for n, wins in node_rows for w, c in wins]
+    )

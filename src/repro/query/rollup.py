@@ -14,8 +14,11 @@ rescan:
     int64[73] / int64[129] -- histograms over codeword bit position and
     DRAM bank, with one slot reserved for the unparseable sentinel.
 ``ce_windows``
-    sparse {(node, window) -> count} over epoch-aligned windows of
-    ``window_s`` seconds -- the ``ce_rate`` alert's counting domain.
+    sparse (node, window) -> count over epoch-aligned windows of
+    ``window_s`` seconds -- the ``ce_rate`` alert's counting domain,
+    held in a :class:`~repro.window_counts.WindowCounts`, the one
+    per-(node, window) counter the alert rule and the predictor's
+    features also keep.
 ``fault_rack_slot_mode`` / ``fault_mode_bucket`` / ``mode_error_totals``
     fault-level cubes (counts by rack x slot x mode, mode x first-seen
     bucket, and errors attributed per mode -- fig04's totals).
@@ -55,10 +58,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import ReproError
-from repro._util import atomic_write, mismatch
+from repro._util import DictConfig, atomic_write, mismatch
 from repro.faults.types import ERROR_DTYPE, FAULT_DTYPE, FaultMode
 from repro.logs.bmc import dropout_gaps
 from repro.logs.integrity import crc32c
+from repro.window_counts import WindowCounts
 
 #: Bump on any change to the snapshot payload or manifest layout.
 ROLLUP_SCHEMA_VERSION = 1
@@ -85,7 +89,7 @@ class RollupError(ReproError, RuntimeError):
 
 
 @dataclass(frozen=True)
-class RollupConfig:
+class RollupConfig(DictConfig):
     """Cube geometry; two stores merge only if their configs match."""
 
     #: Nodes per rack (Astra: 18 chassis x 4 nodes, rack-major ids).
@@ -100,27 +104,6 @@ class RollupConfig:
     dropout_cadence_s: float = 60.0
     #: Gap (in cadences) beyond which sensor silence is a dropout.
     dropout_min_gap: float = 3.0
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes_per_rack": self.nodes_per_rack,
-            "n_slots": self.n_slots,
-            "bucket_s": self.bucket_s,
-            "window_s": self.window_s,
-            "dropout_cadence_s": self.dropout_cadence_s,
-            "dropout_min_gap": self.dropout_min_gap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RollupConfig":
-        return cls(
-            nodes_per_rack=int(d["nodes_per_rack"]),
-            n_slots=int(d["n_slots"]),
-            bucket_s=float(d["bucket_s"]),
-            window_s=float(d["window_s"]),
-            dropout_cadence_s=float(d["dropout_cadence_s"]),
-            dropout_min_gap=float(d["dropout_min_gap"]),
-        )
 
 
 class RollupStore:
@@ -150,7 +133,7 @@ class RollupStore:
         )
         self.fault_mode_bucket = np.zeros((_N_MODES, 0), dtype=np.int64)
         self.mode_error_totals = np.zeros(_N_MODES, dtype=np.int64)
-        self._ce_windows: dict[int, int] = {}
+        self._ce_windows = WindowCounts()
         self.sensor_samples = 0
         self.dropout_count = 0
         self.dropout_seconds = 0.0
@@ -172,12 +155,6 @@ class RollupStore:
     @property
     def bucket0(self) -> int | None:
         return self._bucket0
-
-    def bucket_ids(self) -> np.ndarray:
-        """Absolute time-bucket ids covered by the time axis."""
-        if self._bucket0 is None:
-            return np.zeros(0, dtype=np.int64)
-        return self._bucket0 + np.arange(self.n_buckets, dtype=np.int64)
 
     # -- growth --------------------------------------------------------
     def _grow_nodes(self, max_node: int) -> None:
@@ -278,12 +255,7 @@ class RollupStore:
         banks = np.clip(errors["bank"].astype(np.int64), -1, N_BANKS - 2) + 1
         self.bank += np.bincount(banks, minlength=N_BANKS)
 
-        keys, kcounts = np.unique(
-            nodes * _CE_KEY_BASE + windows, return_counts=True
-        )
-        wins = self._ce_windows
-        for k, n in zip(keys.tolist(), kcounts.tolist()):
-            wins[k] = wins.get(k, 0) + n
+        self._ce_windows.add(nodes, windows)
 
         self.errors_seen += int(errors.size)
         from repro import obs
@@ -403,9 +375,7 @@ class RollupStore:
                 other.rack_slot_bucket
             )
             self.fault_mode_bucket[:, sl] += other.fault_mode_bucket
-        wins = self._ce_windows
-        for k, n in other._ce_windows.items():
-            wins[k] = wins.get(k, 0) + n
+        self._ce_windows.merge(other._ce_windows)
 
     # -- read views ----------------------------------------------------
     def node_errors_padded(self, n_nodes: int) -> np.ndarray:
@@ -435,19 +405,8 @@ class RollupStore:
 
     def ce_window_items(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(nodes, windows, counts) of nonempty CE-rate windows, sorted."""
-        if not self._ce_windows:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), z.copy()
-        n = len(self._ce_windows)
-        # keys() and values() iterate in the same (insertion) order, so
-        # one argsort aligns both without per-key dict lookups.
-        keys = np.fromiter(self._ce_windows.keys(), dtype=np.int64, count=n)
-        counts = np.fromiter(
-            self._ce_windows.values(), dtype=np.int64, count=n
-        )
-        order = np.argsort(keys)
-        keys = keys[order]
-        return keys // _CE_KEY_BASE, keys % _CE_KEY_BASE, counts[order]
+        w = self._ce_windows
+        return w.nodes.copy(), w.windows.copy(), w.counts.copy()
 
     def sensor_tallies(self) -> dict:
         return {
@@ -484,7 +443,7 @@ class RollupStore:
             a, b = getattr(self, name), getattr(other, name)
             if a.shape != b.shape or not np.array_equal(a, b):
                 return False
-        return self._ce_windows == other._ce_windows
+        return self._ce_windows.rows() == other._ce_windows.rows()
 
     # -- (de)serialisation ---------------------------------------------
     def _export(self) -> tuple[dict, dict]:
@@ -505,7 +464,7 @@ class RollupStore:
         rack_ids = np.flatnonzero(self.rack_slot_bucket.any(axis=(1, 2)))
         frack_ids = np.flatnonzero(self.fault_rack_slot_mode.any(axis=(1, 2)))
         node_ids = np.flatnonzero(self.node_errors)
-        keys = np.array(sorted(self._ce_windows), dtype=np.int64)
+        wins = self._ce_windows
         arrays = {
             "rack_ids": rack_ids.astype(np.int64),
             "rack_slot_bucket": self.rack_slot_bucket[rack_ids],
@@ -517,10 +476,8 @@ class RollupStore:
             "bank": self.bank,
             "fault_mode_bucket": self.fault_mode_bucket,
             "mode_error_totals": self.mode_error_totals,
-            "window_keys": keys,
-            "window_counts": np.array(
-                [self._ce_windows[int(k)] for k in keys], dtype=np.int64
-            ),
+            "window_keys": wins.nodes * _CE_KEY_BASE + wins.windows,
+            "window_counts": wins.counts.copy(),
         }
         return meta, arrays
 
@@ -567,11 +524,10 @@ class RollupStore:
         store.mode_error_totals = (
             arrays["mode_error_totals"].astype(np.int64)
         )
-        store._ce_windows = dict(
-            zip(
-                arrays["window_keys"].astype(np.int64).tolist(),
-                arrays["window_counts"].astype(np.int64).tolist(),
-            )
+        keys = arrays["window_keys"].astype(np.int64)
+        counts = arrays["window_counts"]
+        store._ce_windows = WindowCounts.from_rows(
+            np.stack((keys // _CE_KEY_BASE, keys % _CE_KEY_BASE, counts), 1)
         )
         sensor = meta["sensor"]
         store.sensor_samples = int(sensor["samples"])

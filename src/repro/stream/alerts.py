@@ -15,7 +15,10 @@ the alert stream an uninterrupted run would have):
 ``ce_rate``
     A node crossed the correctable-error-count threshold within an
     epoch-aligned time window.  Fires once per (node, window), stamped
-    with the timestamp of the record that crossed the threshold.
+    with the timestamp of the record that crossed the threshold.  The
+    counts are a :class:`~repro.window_counts.WindowCounts` -- the one
+    per-(node, window) counter, also kept by the predictor's features
+    and the rollup cubes -- read from before each batch merges.
 ``uncorrectable``
     A HET record with NON-RECOVERABLE severity arrived; one alert per
     record (these are the events the paper ties to job kills).
@@ -42,12 +45,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._util import fsync_dir, fsync_file, mismatch
+from repro._util import DictConfig, fsync_dir, fsync_file, mismatch
 from repro.faults.types import FaultMode
 from repro.logs.bmc import dropout_gaps
 from repro.stream.checkpoint import CheckpointError
 from repro.stream.online_coalesce import OnlineCoalescer
 from repro.synth.het import EVENT_TYPES
+from repro.window_counts import WindowCounts
 
 #: Rule names, in the order they are documented.  ``predicted_failure``
 #: is raised by the optional :class:`~repro.predict.score.OnlineScorer`
@@ -60,7 +64,7 @@ RULES = (
 
 
 @dataclass(frozen=True)
-class AlertRules:
+class AlertRules(DictConfig):
     """Thresholds for the alert rule catalog."""
 
     #: CE records per node per window that trip the ``ce_rate`` rule.
@@ -71,23 +75,6 @@ class AlertRules:
     dropout_cadence_s: float = 60.0
     #: Gap (in cadences) beyond which silence is a dropout.
     dropout_min_gap: float = 3.0
-
-    def to_dict(self) -> dict:
-        return {
-            "ce_rate_threshold": self.ce_rate_threshold,
-            "ce_rate_window_s": self.ce_rate_window_s,
-            "dropout_cadence_s": self.dropout_cadence_s,
-            "dropout_min_gap": self.dropout_min_gap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AlertRules":
-        return cls(
-            ce_rate_threshold=int(d["ce_rate_threshold"]),
-            ce_rate_window_s=float(d["ce_rate_window_s"]),
-            dropout_cadence_s=float(d["dropout_cadence_s"]),
-            dropout_min_gap=float(d["dropout_min_gap"]),
-        )
 
 
 _ALERTS_HINT = (
@@ -181,13 +168,11 @@ class AlertEngine:
         self.coalescer = coalescer
         self.rules = rules or AlertRules()
         #: Live CE count per (node, window index).
-        self._ce_counts: dict[tuple[int, int], int] = {}
+        self._ce_counts = WindowCounts()
         #: (node, window index) pairs whose ce_rate alert already fired.
         self._ce_fired: set[tuple[int, int]] = set()
         #: High-water mark of distinct BMC sample timestamps.
         self._sensor_watermark: float | None = None
-        #: (node, window index) pairs counted since :meth:`clear_changes`.
-        self._changed: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     def observe_errors(
@@ -253,25 +238,21 @@ class AlertEngine:
         threshold = self.rules.ce_rate_threshold
         nodes = errors["node"].astype(np.int64)
         buckets = np.floor(errors["time"] / window).astype(np.int64)
-        # Stable sort keeps file order within each (node, bucket)
-        # segment, so "the record that crossed the threshold" is exact.
-        order = np.lexsort((buckets, nodes))
-        sn, sb = nodes[order], buckets[order]
-        seg = np.ones(sn.size, dtype=bool)
-        seg[1:] = (sn[1:] != sn[:-1]) | (sb[1:] != sb[:-1])
-        starts = np.flatnonzero(seg)
-        counts = np.diff(np.append(starts, sn.size))
-        times = errors["time"][order]
+        added = self._ce_counts.add(nodes, buckets)
+        # The merge order is stable, so within each (node, bucket) run
+        # records keep file order and "the record that crossed the
+        # threshold" is exact.
+        order, starts = added.order, added.starts
+        totals = added.prev + added.counts
         alerts = []
-        for s, c in zip(starts.tolist(), counts.tolist()):
-            key = (int(sn[s]), int(sb[s]))
-            prev = self._ce_counts.get(key, 0)
-            self._ce_counts[key] = prev + c
-            self._changed.add(key)
-            if key in self._ce_fired or prev + c < threshold:
+        for i in np.flatnonzero(totals >= threshold).tolist():
+            s = int(starts[i])
+            key = (int(nodes[order[s]]), int(buckets[order[s]]))
+            if key in self._ce_fired:
                 continue
-            # The (threshold - prev)-th record of this segment crossed.
-            t_cross = float(times[s + (threshold - prev) - 1])
+            prev = int(added.prev[i])
+            # The (threshold - prev)-th record of this run crossed.
+            t_cross = float(errors["time"][order[s + (threshold - prev) - 1]])
             self._ce_fired.add(key)
             alerts.append(
                 {
@@ -282,7 +263,7 @@ class AlertEngine:
                     "detail": {
                         "window_start": key[1] * window,
                         "window_s": window,
-                        "count": prev + c,
+                        "count": int(totals[i]),
                         "threshold": threshold,
                     },
                 }
@@ -335,27 +316,26 @@ class AlertEngine:
         since :meth:`clear_changes` (a journal delta)."""
         # A window fires only once counted, so its fired row rides with
         # its count row.
-        keys = sorted(self._changed if changed else self._ce_counts)
+        rows = self._ce_counts.rows(changed)
         return {
             "rules": self.rules.to_dict(),
-            "ce_counts": [[k[0], k[1], self._ce_counts[k]] for k in keys],
-            "ce_fired": [list(k) for k in keys if k in self._ce_fired],
+            "ce_counts": rows,
+            "ce_fired": [
+                [n, b] for n, b, _ in rows if (n, b) in self._ce_fired
+            ],
             "sensor_watermark": self._sensor_watermark,
         }
 
     def clear_changes(self) -> None:
         """Mark the current state as checkpointed."""
-        self._changed.clear()
+        self._ce_counts.clear_changes()
 
     def restore(self, state: dict) -> None:
         self.rules = AlertRules.from_dict(state["rules"])
-        self._ce_counts = {
-            (int(n), int(b)): int(c) for n, b, c in state["ce_counts"]
-        }
+        self._ce_counts = WindowCounts.from_rows(state["ce_counts"])
         self._ce_fired = {(int(n), int(b)) for n, b in state["ce_fired"]}
         w = state["sensor_watermark"]
         self._sensor_watermark = None if w is None else float(w)
-        self._changed = set()
 
 
 def read_alerts(path: str | os.PathLike) -> list[dict]:

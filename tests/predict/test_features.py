@@ -184,7 +184,7 @@ class TestCounters:
         for t in times:
             many.observe_sensor_times(np.array([t]))
         assert one.dropout_total == many.dropout_total
-        assert one._dropout == many._dropout
+        assert one.to_state()["dropout"] == many.to_state()["dropout"]
 
 
 class TestStateRoundTrip:

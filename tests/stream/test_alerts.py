@@ -213,16 +213,18 @@ class TestEngineState:
     def test_round_trip_through_json(self):
         eng, oc = engine(ce_rate_threshold=2, ce_rate_window_s=50.0)
         observe(eng, oc, make_errors([bit_error(t=1.0)]))
+        observe(eng, oc, make_errors([bit_error(t=2.0), bit_error(t=60.0)]))
         eng.observe_sensors(
             np.array([(5.0,)], dtype=[("time", "f8")]), 0
         )
         state = json.loads(json.dumps(eng.to_state()))
+        assert state["ce_counts"] == [[0, 0, 2], [0, 1, 1]]
+        assert state["ce_fired"] == [[0, 0]]
         eng2, _ = engine()
         eng2.restore(state)
         assert eng2.rules == eng.rules
-        assert eng2._ce_counts == eng._ce_counts
-        assert eng2._ce_fired == eng._ce_fired
-        assert eng2._sensor_watermark == eng._sensor_watermark
+        # Counts, fired windows and the sensor watermark all come back.
+        assert eng2.to_state() == state
 
 
 class TestAlertSink:
