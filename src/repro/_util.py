@@ -1,5 +1,6 @@
-"""Small shared utilities: time handling, durable artifact writes, the
-found/expected refusal, and stateless hash noise.
+"""Small shared utilities: time handling, durable artifact writes and
+the one artifact reader, the found/expected refusal, and stateless hash
+noise.
 
 The sensor field generator needs *stateless* pseudo-randomness -- the value
 of sensor ``s`` on node ``n`` at minute ``t`` must be computable in any
@@ -11,9 +12,13 @@ vectorisable, seedable.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
+from pathlib import Path
 
 import numpy as np
+
+from repro import ReproError
 
 #: Seconds per day; the study's natural reporting granularity.
 DAY_S = 86400.0
@@ -160,6 +165,55 @@ def mismatch(error_cls, what: str, found, expected, hint: str) -> Exception:
     return error_cls(
         f"{what} mismatch: found {found}, expected {expected}; hint: {hint}"
     )
+
+
+_REFUSE = object()
+
+
+def read_artifact(
+    path, error, decode, *, what: str, hint: str, kind=None, version=None,
+    data: bytes | None = None, absent=_REFUSE,
+):
+    """The one reader of a JSON artifact: parse, check, then decode.
+
+    Parses ``path`` (or ``data``, its bytes), requires an object, checks
+    the ``(key, expected)`` pairs ``kind`` and ``version``, and returns
+    ``decode(doc)``; a missing file returns ``absent`` if one is given.
+    Any other failure, a lookup or type error in ``decode`` included, is
+    ``error("<what> ...; hint: <hint>")``; a :class:`repro.ReproError`
+    from ``decode`` passes through.
+    """
+    try:
+        doc = json.loads(Path(path).read_bytes() if data is None else data)
+    except FileNotFoundError:
+        if absent is not _REFUSE:
+            return absent
+        raise error(f"{what} missing; hint: {hint}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} ({exc}); hint: {hint}") from exc
+    except ValueError as exc:
+        raise error(
+            f"cannot read {what}: unreadable JSON ({exc}); hint: {hint}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise mismatch(
+            error, f"{what} type", type(doc).__name__, "a JSON object", hint
+        )
+    for label, check in (("kind", kind), ("schema version", version)):
+        if check is not None and doc.get(check[0]) != check[1]:
+            raise mismatch(
+                error, f"{what} {label} ({check[0]})",
+                repr(doc.get(check[0])), repr(check[1]), hint,
+            )
+    try:
+        return decode(doc)
+    except ReproError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise mismatch(
+            error, f"{what} fields", f"{type(exc).__name__} {exc}",
+            "the fields this version writes", hint,
+        ) from exc
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)

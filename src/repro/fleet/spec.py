@@ -32,7 +32,7 @@ from functools import partial
 from pathlib import Path
 
 from repro import ReproError
-from repro._util import atomic_write, mismatch
+from repro._util import atomic_write, read_artifact
 from repro.machine.topology import AstraTopology
 
 #: Manifest filename inside a fleet directory.
@@ -154,38 +154,29 @@ class Fleet:
         """Load a fleet manifest; raises :class:`FleetFormatError` if bad."""
         directory = Path(directory)
         path = directory / MANIFEST_NAME
-        if not path.exists():
-            raise FleetFormatError(
-                path, f"not a fleet directory ({MANIFEST_NAME} missing)"
-            )
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FleetFormatError(path, f"unreadable manifest ({exc})") from exc
-        if not isinstance(doc, dict) or doc.get("kind") != "astra-memrepro-fleet":
-            raise FleetFormatError(path, "not an astra-memrepro fleet manifest")
-        version = doc.get("schema_version")
-        if version != FLEET_SCHEMA_VERSION:
-            raise mismatch(
-                partial(FleetFormatError, path), "schema_version",
-                repr(version), FLEET_SCHEMA_VERSION,
-                "re-synthesise the fleet into a fresh --shard-dir with "
-                "this version of the code",
-            )
-        try:
-            topo_doc = doc.get("topology", {})
-            spec = FleetSpec(
-                n_clusters=int(doc["n_clusters"]),
-                seed=int(doc["seed"]),
-                scale=float(doc["scale"]),
-                base_topology=AstraTopology(
-                    n_racks=int(topo_doc.get("n_racks", 36)),
-                    chassis_per_rack=int(topo_doc.get("chassis_per_rack", 18)),
-                    nodes_per_chassis=int(topo_doc.get("nodes_per_chassis", 4)),
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FleetFormatError(path, f"bad manifest fields ({exc})") from exc
+        return read_artifact(
+            path, partial(FleetFormatError, path),
+            partial(cls._decode, directory), what=MANIFEST_NAME,
+            hint="if this is not an astra-memrepro fleet directory, pass "
+            "the right --shard-dir; else re-synthesise the fleet into a "
+            "fresh one with this version of the code",
+            kind=("kind", "astra-memrepro-fleet"),
+            version=("schema_version", FLEET_SCHEMA_VERSION),
+        )
+
+    @classmethod
+    def _decode(cls, directory: Path, doc: dict) -> "Fleet":
+        topo_doc = doc.get("topology", {})
+        spec = FleetSpec(
+            n_clusters=int(doc["n_clusters"]),
+            seed=int(doc["seed"]),
+            scale=float(doc["scale"]),
+            base_topology=AstraTopology(
+                n_racks=int(topo_doc.get("n_racks", 36)),
+                chassis_per_rack=int(topo_doc.get("chassis_per_rack", 18)),
+                nodes_per_chassis=int(topo_doc.get("nodes_per_chassis", 4)),
+            ),
+        )
         n_errors = [
             c.get("n_errors") for c in doc.get("clusters", [])
             if isinstance(c, dict)

@@ -252,25 +252,29 @@ def ingest_bmc_log(
     return out, stats
 
 
-def sensor_dropout_windows(
-    samples: np.ndarray, cadence_s: float = 60.0, min_gap: float = 3.0
-) -> list[tuple[float, float]]:
+def sensor_dropout_windows(samples: np.ndarray) -> list[tuple[float, float]]:
     """Detect BMC reporting gaps: windows with no samples from any node.
 
-    A gap longer than ``min_gap`` cadences between consecutive distinct
+    A gap longer than :data:`DROPOUT_GAP_S` between consecutive distinct
     sample timestamps is reported as a ``(start, end)`` dropout window --
     the sensor-side analogue of the syslog truncations the ingest layer
     quarantines.  Experiments can subtract these windows from their
     denominator instead of treating silence as healthy telemetry.
     """
-    starts, ends, _ = dropout_gaps(samples["time"], min_gap * cadence_s)
+    starts, ends, _ = dropout_gaps(samples["time"])
     return list(zip(starts.tolist(), ends.tolist()))
 
 
+#: BMC silence longer than this (three 60 s sample cadences) is one
+#: sensor dropout, for every holder that counts dropouts.
+DROPOUT_GAP_S = 180.0
+
+
 def dropout_gaps(
-    times: np.ndarray, gap_limit: float, watermark: float | None = None
+    times: np.ndarray, watermark: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Gaps wider than ``gap_limit`` in a sample-time stream, past a watermark.
+    """Gaps wider than :data:`DROPOUT_GAP_S` in a sample-time stream,
+    past a watermark.
 
     The one sensor-dropout walk, shared by :func:`sensor_dropout_windows`
     (no watermark), the live ``sensor_dropout`` alert rule and the
@@ -285,7 +289,7 @@ def dropout_gaps(
         times = np.concatenate(([watermark], times[times > watermark]))
     if times.size == 0:
         return times, times, watermark
-    idx = np.flatnonzero(np.diff(times) > gap_limit)
+    idx = np.flatnonzero(np.diff(times) > DROPOUT_GAP_S)
     return times[idx], times[idx + 1], float(times[-1])
 
 

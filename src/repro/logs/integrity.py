@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro import ReproError
-from repro._util import atomic_write
+from repro._util import atomic_write, read_artifact
 
 #: CRC-32C (Castagnoli), reflected representation.
 _POLY = 0x82F63B78
@@ -292,22 +293,20 @@ def verify_checksum(path: str | os.PathLike, required: bool = False) -> bool:
     :class:`ShardIntegrityError`.
     """
     side = sidecar_path(path)
-    try:
-        doc = json.loads(side.read_text())
-    except FileNotFoundError:
-        if required:
-            raise ShardIntegrityError(
-                path, f"no {SIDECAR_SUFFIX} sidecar to verify against"
-            ) from None
-        return False
-    except (OSError, json.JSONDecodeError) as exc:
+    verified = read_artifact(
+        side, partial(ShardIntegrityError, path),
+        partial(_check_against, path), what=f"checksum sidecar {side.name}",
+        hint=f"re-fetch the shard, or rewrite its {SIDECAR_SUFFIX} sidecar",
+        kind=("algorithm", "crc32c"), absent=False,
+    )
+    if not verified and required:
         raise ShardIntegrityError(
-            path, f"unreadable checksum sidecar ({exc})"
-        ) from exc
-    if not isinstance(doc, dict) or doc.get("algorithm") != "crc32c":
-        raise ShardIntegrityError(
-            path, f"unsupported checksum sidecar {side.name}"
+            path, f"no {SIDECAR_SUFFIX} sidecar to verify against"
         )
+    return verified
+
+
+def _check_against(path, doc: dict) -> bool:
     value, size = crc32c_file(path)
     want_size = doc.get("size")
     if want_size is not None and size != int(want_size):

@@ -211,10 +211,11 @@ def _shutdown(pool, force: bool) -> None:
         pool.shutdown(wait=True)
         return
     # Waiting would block on wedged workers; cut them loose and
-    # terminate whatever is still running.
+    # terminate whatever is still running.  The process table is taken
+    # first: shutdown() empties it.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
+    for proc in processes:
         try:
             proc.terminate()
         except (OSError, AttributeError):  # pragma: no cover

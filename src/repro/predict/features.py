@@ -82,10 +82,6 @@ class FeatureConfig(DictConfig):
 
     #: Width of one counting window; horizons are multiples of this.
     window_s: float = 3600.0
-    #: Expected sensor sample cadence for the dropout walk.
-    dropout_cadence_s: float = 60.0
-    #: A gap of more than this many cadences counts as one dropout.
-    dropout_min_gap: int = 5
 
 
 class FeatureState:
@@ -167,16 +163,14 @@ class FeatureState:
         Runs the ``sensor_dropout`` alert rule's walk
         (:func:`repro.logs.bmc.dropout_gaps`, with ``_sensor_last`` as
         the watermark, so late replays open no gap): a gap longer than
-        ``dropout_min_gap`` cadences counts as one dropout, attributed
-        to the window of the gap's end.  Sensor ticks do not advance the
-        event watermark.
+        :data:`~repro.logs.bmc.DROPOUT_GAP_S` counts as one dropout,
+        attributed to the window of the gap's end.  Sensor ticks do not
+        advance the event watermark.
         """
         if len(times) == 0:
             return
         _, ends, self._sensor_last = dropout_gaps(
-            np.asarray(times, dtype=np.float64),
-            self.config.dropout_min_gap * self.config.dropout_cadence_s,
-            self._sensor_last,
+            np.asarray(times, dtype=np.float64), self._sensor_last
         )
         self._dropout.add(np.zeros(ends.size, np.int64), self._windows(ends))
 

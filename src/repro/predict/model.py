@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from pathlib import Path
+from functools import cached_property, partial
 
 import numpy as np
 
-from repro._util import atomic_write, mismatch
+from repro._util import atomic_write, mismatch, read_artifact
 from repro.logs.integrity import crc32c
 from repro.predict.errors import PredictError
 from repro.predict.features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
@@ -165,28 +164,16 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PredictError(
-                f"cannot read model {path}: {exc}; hint: retrain with "
-                f"`repro predict train` or restore the artifact"
-            ) from exc
-        if not isinstance(payload, dict) or payload.get("kind") != "predict-model":
-            raise mismatch(
-                PredictError, "artifact kind",
-                repr(payload.get("kind")) if isinstance(payload, dict)
-                else type(payload).__name__,
-                repr("predict-model"),
-                f"{path} is not a predictor artifact",
-            )
-        if payload.get("schema") != MODEL_SCHEMA_VERSION:
-            raise mismatch(
-                PredictError, "model schema version",
-                repr(payload.get("schema")), MODEL_SCHEMA_VERSION,
-                "retrain with `repro predict train` on this version",
-            )
+        return read_artifact(
+            path, PredictError, partial(cls._decode, path), what="model",
+            hint=f"retrain with `repro predict train` or restore {path} "
+            "from a good copy",
+            kind=("kind", "predict-model"),
+            version=("schema", MODEL_SCHEMA_VERSION),
+        )
+
+    @classmethod
+    def _decode(cls, path, payload: dict) -> "Model":
         crc = payload.pop("crc", None)
         model = cls(
             mu=np.asarray(payload["mu"], dtype=np.float64),
@@ -203,11 +190,10 @@ class Model:
         )
         found = crc32c(model._canonical())
         if crc != found:
-            raise PredictError(
-                f"model {path} failed its integrity check: stored CRC "
-                f"{crc!r}, computed {found!r}; hint: the artifact is "
-                f"damaged -- retrain with `repro predict train` or "
-                f"restore it from a good copy"
+            raise mismatch(
+                PredictError, f"model {path} integrity check (CRC)", crc,
+                found, "the artifact is damaged -- retrain with `repro "
+                "predict train` or restore it from a good copy",
             )
         if model.feature_schema_version != FEATURE_SCHEMA_VERSION:
             raise mismatch(

@@ -34,6 +34,7 @@ from repro.faults.types import (
     FAULT_DTYPE,
     FaultMode,
 )
+from repro.logs.bmc import DROPOUT_GAP_S
 from repro.query.rollup import (
     N_BANKS,
     N_BITPOS,
@@ -545,12 +546,11 @@ def _recompute_groups(query, config, errors, faults, sensor_times) -> dict:
     # dropout
     sensor_times = _need(sensor_times, "sensor_times", query)
     ts = np.unique(np.asarray(sensor_times, dtype=np.float64))
-    gap_limit = c.dropout_min_gap * c.dropout_cadence_s
     prev = None
     n_drop = 0
     gap_s = 0.0
     for t in ts.tolist():
-        if prev is not None and t > prev and (t - prev) > gap_limit:
+        if prev is not None and t > prev and (t - prev) > DROPOUT_GAP_S:
             n_drop += 1
             gap_s += t - prev
         prev = t if prev is None else max(prev, t)

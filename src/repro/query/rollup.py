@@ -53,12 +53,13 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro import ReproError
-from repro._util import DictConfig, atomic_write, mismatch
+from repro._util import DictConfig, atomic_write, mismatch, read_artifact
 from repro.faults.types import ERROR_DTYPE, FAULT_DTYPE, FaultMode
 from repro.logs.bmc import dropout_gaps
 from repro.logs.integrity import crc32c
@@ -100,10 +101,6 @@ class RollupConfig(DictConfig):
     bucket_s: float = 86400.0
     #: Width of the CE-rate window, seconds (the ce_rate alert default).
     window_s: float = 3600.0
-    #: Expected BMC sample cadence, seconds.
-    dropout_cadence_s: float = 60.0
-    #: Gap (in cadences) beyond which sensor silence is a dropout.
-    dropout_min_gap: float = 3.0
 
 
 class RollupStore:
@@ -274,9 +271,7 @@ class RollupStore:
         if samples.size == 0:
             return
         starts, ends, self._sensor_watermark = dropout_gaps(
-            samples["time"],
-            self.config.dropout_min_gap * self.config.dropout_cadence_s,
-            self._sensor_watermark,
+            samples["time"], self._sensor_watermark
         )
         gap_s = 0.0
         for gap in (ends - starts).tolist():  # a running sum, in time order
@@ -483,15 +478,6 @@ class RollupStore:
 
     @classmethod
     def _import(cls, meta: dict, arrays: dict) -> "RollupStore":
-        version = meta.get("schema_version")
-        if version != ROLLUP_SCHEMA_VERSION:
-            raise mismatch(
-                RollupError, "rollup schema_version", repr(version),
-                ROLLUP_SCHEMA_VERSION,
-                "rebuild the snapshot with 'repro query --build' (or re-run "
-                "the stream with --rollups-dir) using this version of the "
-                "code",
-            )
         store = cls(RollupConfig.from_dict(meta["config"]))
         c = store.config
         store.errors_seen = int(meta["errors_seen"])
@@ -574,23 +560,21 @@ class RollupStore:
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        manifest = _read_manifest(directory)
-        if manifest is None:
-            manifest = {
-                "schema_version": ROLLUP_SCHEMA_VERSION,
-                "config": self.config.to_dict(),
-                "latest": 0,
-                "versions": {},
-            }
-        found = RollupConfig.from_dict(manifest["config"])
-        if found != self.config:
+        manifest = _read_manifest(directory) or {
+            "schema_version": ROLLUP_SCHEMA_VERSION, "config": None,
+            "latest": 0, "versions": {},
+        }
+        if manifest["config"] not in (None, self.config):
             raise mismatch(
                 RollupError, f"{directory / MANIFEST_NAME}: rollup config",
-                found.to_dict(), self.config.to_dict(),
+                manifest["config"].to_dict(), self.config.to_dict(),
                 "snapshot into a fresh directory or rebuild the existing "
                 "one with the same cube geometry",
             )
-        version = int(manifest["latest"]) + 1
+        # Rewritten from this store's config, so keys an older version
+        # wrote drop out of the manifest.
+        manifest["config"] = self.config.to_dict()
+        version = manifest["latest"] + 1
         name = f"rollup-{version:06d}.npz"
         payload = self._payload_bytes()
         with obs.span(
@@ -659,16 +643,7 @@ class RollupStore:
                     " hint: build one with 'repro stream ... --rollups-dir'"
                     " or 'repro query ... --build'"
                 )
-            mversion = manifest.get("schema_version")
-            if mversion != ROLLUP_SCHEMA_VERSION:
-                raise mismatch(
-                    RollupError,
-                    f"{directory / MANIFEST_NAME}: manifest schema_version",
-                    repr(mversion), ROLLUP_SCHEMA_VERSION,
-                    "rebuild the snapshot with this version of the code "
-                    "('repro query --build')",
-                )
-            want = int(manifest["latest"]) if version is None else int(version)
+            want = manifest["latest"] if version is None else int(version)
             entry = manifest["versions"].get(str(want))
             if entry is None:
                 held = ", ".join(sorted(manifest["versions"])) or "none"
@@ -700,9 +675,13 @@ class RollupStore:
                 )
                 continue
             with np.load(io.BytesIO(raw)) as npz:
-                arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
-                meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
-            store = cls._import(meta, arrays)
+                arrays = {k: npz[k] for k in npz.files}
+            store = read_artifact(
+                path, RollupError, partial(cls._import, arrays=arrays),
+                data=bytes(arrays.pop("__meta__", b"")),
+                what=f"rollup payload {path}", hint=_REBUILD,
+                version=("schema_version", ROLLUP_SCHEMA_VERSION),
+            )
             if config is not None and store.config != config:
                 raise mismatch(
                     RollupError, f"{path}: rollup config",
@@ -717,24 +696,31 @@ class RollupStore:
     def latest_version(directory: str | os.PathLike) -> int | None:
         """The manifest's latest version number, or None when absent."""
         manifest = _read_manifest(Path(directory))
-        return None if manifest is None else int(manifest["latest"])
+        return None if manifest is None else manifest["latest"]
+
+
+_REBUILD = (
+    "rebuild the snapshot with 'repro query --build' (or re-run the "
+    "stream with --rollups-dir) using this version of the code"
+)
 
 
 def _read_manifest(directory: Path) -> dict | None:
-    try:
-        raw = (directory / MANIFEST_NAME).read_text()
-    except FileNotFoundError:
-        return None
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise RollupError(
-            f"{directory / MANIFEST_NAME}: corrupt rollup manifest ({exc}); "
-            "hint: rebuild the snapshot with 'repro query --build'"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise RollupError(
-            f"{directory / MANIFEST_NAME}: rollup manifest must be a JSON "
-            "object; hint: rebuild the snapshot with 'repro query --build'"
-        )
+    """The manifest with its config and entries decoded, or None when
+    the directory holds none."""
+    path = directory / MANIFEST_NAME
+    return read_artifact(
+        path, RollupError, _decode_manifest, what=f"rollup manifest {path}",
+        hint=_REBUILD, version=("schema_version", ROLLUP_SCHEMA_VERSION),
+        absent=None,
+    )
+
+
+def _decode_manifest(doc: dict) -> dict:
+    doc["config"] = RollupConfig.from_dict(doc["config"])
+    doc["latest"] = int(doc["latest"])
+    doc["versions"] = {
+        v: dict(entry, file=str(entry["file"]), crc32c=int(entry["crc32c"]))
+        for v, entry in doc["versions"].items()
+    }
     return doc

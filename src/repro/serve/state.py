@@ -24,13 +24,13 @@ on the event loop.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import numpy as np
 
 from repro import ReproError
+from repro._util import read_artifact
 from repro.predict.errors import PredictError
 from repro.predict.model import Model
 from repro.predict.score import score_records
@@ -78,14 +78,26 @@ class _AlertTail:
         with open(self.path, "rb") as fh:
             fh.seek(self.offset)
             chunk = fh.read(size - self.offset)
-        self.offset = size
-        buf = self._partial + chunk
-        lines = buf.split(b"\n")
-        self._partial = lines.pop()
-        for line in lines:
-            line = line.strip()
-            if line:
-                self.alerts.append(json.loads(line))
+        lines = (self._partial + chunk).split(b"\n")
+        # Parse before any state moves: a damaged line is refused on
+        # every refresh, not skipped after the first.
+        parsed = [
+            read_artifact(
+                self.path, ServeError, _alert, data=line,
+                what=f"alert line in {self.path}", hint="restore the alerts "
+                "file the stream wrote, or serve without --alerts",
+            )
+            for line in lines[:-1] if line.strip()
+        ]
+        self.offset, self._partial = size, lines[-1]
+        self.alerts.extend(parsed)
+
+
+def _alert(doc: dict) -> dict:
+    """One alert line; ``/v1/alerts`` pages by its integer ``seq``."""
+    if not isinstance(doc["seq"], int):
+        raise TypeError("seq is not an integer")
+    return doc
 
 
 class ServeState:

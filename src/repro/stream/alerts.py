@@ -24,7 +24,7 @@ the alert stream an uninterrupted run would have):
     record (these are the events the paper ties to job kills).
 ``sensor_dropout``
     The fleet-wide BMC sample timestamp stream jumped by more than
-    ``dropout_min_gap`` cadences -- the streaming analogue of
+    :data:`~repro.logs.bmc.DROPOUT_GAP_S` -- the streaming analogue of
     :func:`repro.logs.bmc.sensor_dropout_windows`, evaluated against a
     running high-water mark.
 
@@ -71,10 +71,6 @@ class AlertRules(DictConfig):
     ce_rate_threshold: int = 100
     #: Width of the epoch-aligned ``ce_rate`` window, seconds.
     ce_rate_window_s: float = 3600.0
-    #: Expected BMC sample cadence, seconds.
-    dropout_cadence_s: float = 60.0
-    #: Gap (in cadences) beyond which silence is a dropout.
-    dropout_min_gap: float = 3.0
 
 
 _ALERTS_HINT = (
@@ -295,9 +291,7 @@ class AlertEngine:
         if samples.size == 0:
             return []
         starts, ends, self._sensor_watermark = dropout_gaps(
-            samples["time"],
-            self.rules.dropout_min_gap * self.rules.dropout_cadence_s,
-            self._sensor_watermark,
+            samples["time"], self._sensor_watermark
         )
         return [
             {
@@ -331,7 +325,15 @@ class AlertEngine:
         self._ce_counts.clear_changes()
 
     def restore(self, state: dict) -> None:
-        self.rules = AlertRules.from_dict(state["rules"])
+        saved = AlertRules.from_dict(state["rules"])
+        if saved != self.rules:
+            raise mismatch(
+                CheckpointError, "checkpoint alert rules", saved.to_dict(),
+                self.rules.to_dict(),
+                f"rerun with --ce-rate-threshold {saved.ce_rate_threshold} "
+                f"--ce-rate-window {saved.ce_rate_window_s:g}, or start "
+                "over with --no-resume",
+            )
         self._ce_counts = WindowCounts.from_rows(state["ce_counts"])
         self._ce_fired = {(int(n), int(b)) for n, b in state["ce_fired"]}
         w = state["sensor_watermark"]

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from pathlib import Path
 
 from repro import ReproError
-from repro._util import atomic_write, fsync_dir, fsync_file, mismatch
+from repro._util import atomic_write, fsync_dir, fsync_file, read_artifact
 from repro.logs.integrity import crc32c
 
 #: Bump on any change to the checkpoint document layout.
@@ -48,6 +49,11 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "checkpoint.journal"
+
+_HINT = (
+    "start over with --no-resume (or delete the checkpoint directory) -- "
+    "a damaged checkpoint, or one from another schema, cannot be resumed"
+)
 
 
 class CheckpointError(ReproError, RuntimeError):
@@ -207,30 +213,22 @@ class CheckpointStore:
         self.journal_bytes += len(line)
         return len(line)
 
-    def load(self) -> dict | None:
-        """The current checkpoint document, or None when none exists."""
+    def load(self, decode=lambda doc: doc):
+        """``decode`` (run inside the reader's guard) of the current
+        checkpoint document, or None when none exists."""
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
             return None
-        try:
-            doc = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(
-                f"{self.path}: corrupt checkpoint ({exc})"
-            ) from exc
-        if not isinstance(doc, dict):
-            raise CheckpointError(
-                f"{self.path}: checkpoint must be a JSON object"
-            )
-        version = doc.get("schema_version")
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise mismatch(
-                CheckpointError, f"{self.path}: checkpoint schema_version",
-                repr(version), CHECKPOINT_SCHEMA_VERSION,
-                "start over with --no-resume (or delete the checkpoint "
-                "directory) -- checkpoints do not migrate across schemas",
-            )
+        return read_artifact(
+            self.path, CheckpointError,
+            lambda doc: decode(self._merge_journal(raw, doc)),
+            what=f"checkpoint {self.path}", data=raw, hint=_HINT,
+            version=("schema_version", CHECKPOINT_SCHEMA_VERSION),
+        )
+
+    def _merge_journal(self, raw: bytes, doc: dict) -> dict:
+        """``doc`` with the journal lines naming its base applied."""
         self.base_crc = f"{crc32c(raw):08x}"
         self.base_bytes = len(raw)
         self.journal_bytes = 0
@@ -242,15 +240,17 @@ class CheckpointStore:
         # The piece after the last newline is empty or a torn line.
         for number, line in enumerate(journal.split(b"\n")[:-1], 1):
             end += len(line) + 1
-            try:
-                entry = json.loads(line)
-                if entry["base"] != self.base_crc:
-                    continue  # from before the base was rewritten
-                apply_ops(doc, entry["ops"])
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise CheckpointError(
-                    f"{self.journal_path}: corrupt journal line {number} "
-                    f"({exc!r})"
-                ) from exc
-            self.journal_bytes = end
+            if read_artifact(
+                self.journal_path, CheckpointError,
+                partial(self._apply_line, doc), data=line,
+                what=f"{self.journal_path}: corrupt journal line {number}",
+                hint=_HINT,
+            ):
+                self.journal_bytes = end
         return doc
+
+    def _apply_line(self, doc: dict, entry: dict) -> bool:
+        if entry["base"] != self.base_crc:  # from before a base rewrite
+            return False
+        apply_ops(doc, entry["ops"])
+        return True

@@ -213,9 +213,7 @@ class StreamPipeline:
         self.alerts_total = 0
 
         if self.store is not None and resume:
-            state = self.store.load()
-            if state is not None:
-                self._restore(state)
+            self.store.load(self._restore)
         elif self.sink is not None and self.sink.path.exists():
             # Fresh start: do not append after a previous run's alerts.
             self.sink.restore({"seq": 0, "offset": 0})
@@ -504,13 +502,14 @@ class StreamPipeline:
                 f"rerun with --batch-bytes {state['batch_bytes']}, or start "
                 "over with --no-resume",
             )
-        by_path = {str(t.path): t for t in self.tailers}
+        tailers = {(str(t.path), t.spec.family): t for t in self.tailers}
         for file_state in state["files"]:
-            tailer = by_path.get(file_state["path"])
+            tailer = tailers.get((file_state["path"], file_state["family"]))
             if tailer is None:
                 raise CheckpointError(
-                    f"checkpoint tracks {file_state['path']!r} which this "
-                    "pipeline does not tail"
+                    f"checkpoint tracks {file_state['path']!r} "
+                    f"({file_state['family']}) which this pipeline does not "
+                    "tail; hint: start over with --no-resume"
                 )
             tailer.restore(file_state)
         self.coalescer = OnlineCoalescer.from_state(state["coalescer"])

@@ -497,11 +497,6 @@ class LogTailer:
             self._quarantine_saved = len(self.quarantine.entries)
 
     def restore(self, state: dict) -> None:
-        if state["family"] != self.spec.family:
-            raise TailError(
-                f"checkpoint family {state['family']!r} does not match "
-                f"tailer family {self.spec.family!r}"
-            )
         self.offset = int(state["offset"])
         self.line_no = int(state["line_no"])
         self.header_done = bool(state["header_done"])

@@ -186,7 +186,7 @@ class TestRepairSemantics:
         )
         samples, stats = ingest_bmc_log(path, policy=IngestPolicy.REPAIR)
         stats.check_invariant()
-        windows = sensor_dropout_windows(samples, cadence_s=60.0, min_gap=3.0)
+        windows = sensor_dropout_windows(samples)
         assert len(windows) >= 1
         start, end = windows[0]
         assert end - start > 3 * 60.0

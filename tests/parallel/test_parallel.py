@@ -165,3 +165,42 @@ def test_process_pools_are_built_only_by_the_executor():
             if name == "ProcessPoolExecutor":
                 builders.append(path.relative_to(src).as_posix())
     assert builders and set(builders) == {"parallel/executor.py"}
+
+
+def _report_pid_then_sleep(path):
+    import os
+    import time
+
+    Path(path).write_text(str(os.getpid()))
+    time.sleep(20.0)  # bounded: a worker left running still exits
+    return os.getpid()
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_forced_shutdown_terminates_a_running_worker(tmp_path):
+    import time
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.parallel.executor import _shutdown
+
+    marker = tmp_path / "pid"
+    pool = ProcessPoolExecutor(max_workers=1)
+    pool.submit(_report_pid_then_sleep, str(marker))
+    deadline = time.monotonic() + 10.0
+    while not marker.exists() or not marker.read_text():
+        assert time.monotonic() < deadline, "the task never started"
+        time.sleep(0.01)
+    pid = int(marker.read_text())
+    _shutdown(pool, force=True)
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid), "a forced shutdown left the worker running"

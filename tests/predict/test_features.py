@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.faults.types import ERROR_DTYPE
+from repro.logs.bmc import DROPOUT_GAP_S
 from repro.predict.errors import PredictError
 from repro.predict.features import (
     FEATURE_INDEX,
@@ -161,9 +162,8 @@ class TestCounters:
         assert row[FEATURE_INDEX["ue_w168"]] == 1
 
     def test_dropout_walk(self):
-        config = FeatureConfig()
-        limit = config.dropout_min_gap * config.dropout_cadence_s
-        state = FeatureState(config)
+        limit = DROPOUT_GAP_S
+        state = FeatureState(FeatureConfig())
         t0 = 10 * WINDOW
         # Exactly at the limit: not a dropout (strict >); beyond: one.
         state.observe_sensor_times(np.array([t0, t0 + limit]))

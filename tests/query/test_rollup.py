@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.faults.coalesce import coalesce
+from repro.logs.bmc import DROPOUT_GAP_S
 from repro.query.engine import build_store
 from repro.query.rollup import RollupConfig, RollupError, RollupStore
 
@@ -145,10 +146,9 @@ class TestDifferentialVsAnalysis:
     def test_dropout_tallies_match_alert_rule_walk(self, sensors):
         store = RollupStore(RollupConfig())
         store.observe_sensors(sensors)
-        cfg = store.config
         ts = np.unique(sensors["time"])
         gaps = np.diff(ts)
-        limit = cfg.dropout_min_gap * cfg.dropout_cadence_s
+        limit = DROPOUT_GAP_S
         tallies = store.sensor_tallies()
         assert tallies["samples"] == sensors.size
         assert tallies["dropouts"] == int((gaps > limit).sum())

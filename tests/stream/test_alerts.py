@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.logs.bmc import sensor_dropout_windows
+from repro.logs.bmc import DROPOUT_GAP_S, sensor_dropout_windows
 from repro.stream.alerts import (
     AlertEngine,
     AlertRules,
@@ -125,7 +125,7 @@ class TestHetAndSensors:
         return out
 
     def test_sensor_dropout_positive(self):
-        eng, _ = engine(dropout_cadence_s=60.0, dropout_min_gap=3.0)
+        eng, _ = engine()
         alerts = eng.observe_sensors(self.samples([0, 60, 120, 600]), 0)
         (alert,) = alerts
         assert alert["rule"] == "sensor_dropout"
@@ -188,7 +188,7 @@ class TestDropoutWalk:
             late = rng.choice(old, 5)
             batches[i] = np.concatenate([late, [old.max()], batches[i]])
         eng, _ = engine()
-        limit = eng.rules.dropout_min_gap * eng.rules.dropout_cadence_s
+        limit = DROPOUT_GAP_S
         store = RollupStore(RollupConfig())
         got = []
         for i, batch in enumerate(batches):
@@ -220,9 +220,8 @@ class TestEngineState:
         state = json.loads(json.dumps(eng.to_state()))
         assert state["ce_counts"] == [[0, 0, 2], [0, 1, 1]]
         assert state["ce_fired"] == [[0, 0]]
-        eng2, _ = engine()
+        eng2, _ = engine(ce_rate_threshold=2, ce_rate_window_s=50.0)
         eng2.restore(state)
-        assert eng2.rules == eng.rules
         # Counts, fired windows and the sensor watermark all come back.
         assert eng2.to_state() == state
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.inject.corruptor import LogCorruptor
 from repro.stream import StreamPipeline, faults_snapshot
+from repro.stream.alerts import AlertRules
 from repro.stream.checkpoint import CheckpointError
 
 from stream.parity import batch_reference
@@ -150,6 +151,20 @@ class TestKillResume:
                 directory=campaign_copy, policy="skip",
                 batch_bytes=self.BATCH_BYTES, **io
             )
+
+    def test_resume_refuses_changed_alert_rules(self, campaign_copy, tmp_path):
+        io = self.run_dir(tmp_path, "run")
+        first = StreamPipeline(
+            directory=campaign_copy, batch_bytes=self.BATCH_BYTES, **io
+        )
+        first.run(max_batches=1)
+        with pytest.raises(CheckpointError, match="alert rules") as exc:
+            StreamPipeline(
+                directory=campaign_copy, batch_bytes=self.BATCH_BYTES,
+                rules=AlertRules(ce_rate_threshold=5), **io
+            )
+        assert "--ce-rate-threshold 100" in str(exc.value)
+        assert "--no-resume" in str(exc.value)
 
     def test_no_resume_starts_over(self, campaign_copy, tmp_path):
         io = self.run_dir(tmp_path, "run")

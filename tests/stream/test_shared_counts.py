@@ -107,3 +107,24 @@ def test_dropouts_agree_when_a_second_bmc_file_replays_the_past(tmp_path):
     assert [a["detail"]["gap_s"] for a in dropouts] == [980.0]
     assert pipe.scorer.state.dropout_total == len(dropouts)
     assert pipe.rollups.dropout_count == len(dropouts)
+
+
+def test_one_gap_limit_for_alerts_features_and_rollups(tmp_path):
+    # A 240 s hole: beyond the 180 s limit, inside the 300 s one the
+    # predictor's features used to apply on their own.
+    t0 = epoch("2019-06-01")
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    _write_bmc(camp / "bmc.csv", t0 + np.concatenate([
+        np.arange(0.0, 600.0, 60.0), np.arange(780.0, 1200.0, 60.0),
+    ]))
+
+    pipe = _pipeline(camp, alerts_out=tmp_path / "alerts.jsonl")
+    pipe.run()
+    dropouts = [
+        a for a in read_alerts(tmp_path / "alerts.jsonl")
+        if a["rule"] == "sensor_dropout"
+    ]
+    assert [a["detail"]["gap_s"] for a in dropouts] == [240.0]
+    assert pipe.scorer.state.dropout_total == 1
+    assert pipe.rollups.dropout_count == 1

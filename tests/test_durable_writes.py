@@ -14,6 +14,10 @@ up to that offset before the checkpoint that counts it is renamed or
 appended to the checkpoint journal.  The journal is appended to as
 well: each line is fsynced before the step that wrote it returns, and
 a compaction resets it only after the new base is durable.
+
+The damage legs then tear every artifact the program reads back and
+flip one bit at each byte: each load succeeds or raises its kind's
+typed error, never anything else.
 """
 
 from __future__ import annotations
@@ -332,3 +336,187 @@ def test_compaction_resets_the_journal_after_the_base_is_durable(
         assert not any(
             ev[:3] == ("fsync", journal_ino, False) for ev in before[base:]
         )
+
+
+# ----------------------------------------------------------------------
+# Damage legs: every artifact the program reads back, torn at many
+# lengths and with one bit flipped at each byte.  A load either
+# succeeds or raises its kind's typed error, nothing else; a CRC-guarded
+# payload refuses every damaged copy.  The ready file has no leg: the
+# program writes it for other processes and never reads it back.
+# ----------------------------------------------------------------------
+def _stream_state(tmp_path):
+    """A small stream stopped after a journal line: (files, resume)."""
+    from repro.stream import StreamPipeline
+
+    logs = _ce_campaign(tmp_path, n=40)
+    args = dict(
+        checkpoint_dir=tmp_path / "ckpt", alerts_out=tmp_path / "alerts.jsonl",
+        batch_bytes=512,
+    )
+    pipe = StreamPipeline(logs, resume=False, **args)
+    while not pipe.store.journal_bytes:
+        assert pipe.step()["progressed"]
+    files = {
+        "checkpoint": pipe.store.path,
+        "checkpoint-journal": pipe.store.journal_path,
+        "alerts": pipe.sink.path,
+    }
+    return files, lambda: StreamPipeline(logs, **args)
+
+
+def damage_stream_file(name):
+    """Set-up of a leg that damages one file of a stream and resumes."""
+    def setup(tmp_path):
+        files, resume = _stream_state(tmp_path)
+        return files[name], resume
+    return setup
+
+
+def damage_served_alerts(tmp_path):
+    from repro.serve.state import _AlertTail
+
+    files, _ = _stream_state(tmp_path)
+    return files["alerts"], lambda: _AlertTail(files["alerts"]).refresh()
+
+
+def damage_ledger_shard(tmp_path):
+    from repro.fleet import ShardResultCache
+    from repro.logs.integrity import crc32c
+
+    (path,) = write_ledger_shard(tmp_path)
+    cache = ShardResultCache(tmp_path / "fleet-cache")
+    digest = f"{crc32c(path.read_bytes()):08x}"
+    return path, lambda: cache.load("cluster-00/errors.npy", digest)
+
+
+def damage_rollup(index):
+    """Set-up of a leg that damages the snapshot's payload (0) or its
+    manifest (1) and loads the latest version."""
+    def setup(tmp_path):
+        from repro.query.rollup import RollupStore
+
+        published = write_rollup_snapshot(tmp_path)
+        return published[index], lambda: RollupStore.load(
+            published[1].parent
+        )
+    return setup
+
+
+def damage_model(tmp_path):
+    from repro.predict.model import Model
+
+    (path,) = write_model(tmp_path)
+    return path, lambda: Model.load(path)
+
+
+def damage_fleet_manifest(tmp_path):
+    from repro.fleet.spec import Fleet
+
+    (path,) = write_fleet_manifest(tmp_path)
+    return path, lambda: Fleet.load(path.parent)
+
+
+def damage_crc_sidecar(tmp_path):
+    from repro.logs.integrity import verify_checksum
+
+    (side,) = write_crc_sidecar(tmp_path)
+    return side, lambda: verify_checksum(tmp_path / "errors.npy", True)
+
+
+def damage_sidecar_checked_shard(tmp_path):
+    from repro.logs.integrity import verify_checksum
+
+    write_crc_sidecar(tmp_path)
+    shard = tmp_path / "errors.npy"
+    return shard, lambda: verify_checksum(shard, True)
+
+
+def _errors():
+    from repro.fleet.spec import FleetFormatError
+    from repro.logs.integrity import ShardIntegrityError
+    from repro.predict.errors import PredictError
+    from repro.query.rollup import RollupError
+    from repro.serve.state import ServeError
+    from repro.stream.checkpoint import CheckpointError
+
+    return {
+        "checkpoint": CheckpointError,
+        "checkpoint-journal": CheckpointError,
+        "alerts": CheckpointError,
+        "served-alerts": ServeError,
+        "ledger-shard": None,  # the shard cache returns None: re-run
+        "rollup-payload": RollupError,
+        "rollup-manifest": RollupError,
+        "model": PredictError,
+        "fleet-manifest": FleetFormatError,
+        "crc-sidecar": ShardIntegrityError,
+        "sidecar-checked-shard": ShardIntegrityError,
+    }
+
+
+#: kind -> (set-up returning (file to damage, load), CRC-guarded, most
+#: bit flips: None flips every byte, a number walks an even stride so
+#: the slowest loads stay bounded).
+DAMAGE = {
+    "checkpoint": (damage_stream_file("checkpoint"), False, None),
+    "checkpoint-journal": (
+        damage_stream_file("checkpoint-journal"), False, None,
+    ),
+    "alerts": (damage_stream_file("alerts"), False, None),
+    "served-alerts": (damage_served_alerts, False, None),
+    "ledger-shard": (damage_ledger_shard, True, 512),
+    "rollup-payload": (damage_rollup(0), True, 256),
+    "rollup-manifest": (damage_rollup(1), False, None),
+    "model": (damage_model, False, None),
+    "fleet-manifest": (damage_fleet_manifest, False, None),
+    "crc-sidecar": (damage_crc_sidecar, False, None),
+    "sidecar-checked-shard": (damage_sidecar_checked_shard, True, None),
+}
+
+
+def _set_up(kind, tmp_path):
+    """(file to damage, its bytes, load, every file's bytes): the last
+    undoes a load that rewrites a file (a resume truncating alerts)."""
+    path, load = DAMAGE[kind][0](tmp_path)
+    load()  # the undamaged artifact loads
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    return path, files[path], load, files
+
+
+def _load_damaged(kind, path, damaged, load, files):
+    """Load with ``damaged`` in place of ``path``'s bytes, then put
+    every file back; returns what the load returned (None if refused)."""
+    error = _errors()[kind]
+    path.write_bytes(damaged)
+    try:
+        out = load()
+    except Exception as exc:
+        if error is None or not isinstance(exc, error):
+            raise AssertionError(
+                f"{kind}: damage escaped as {type(exc).__name__}: {exc}"
+            ) from exc
+        out = None
+    finally:
+        for p, data in files.items():
+            p.write_bytes(data)
+    if DAMAGE[kind][1] and out is not None:
+        raise AssertionError(f"{kind}: a damaged CRC-guarded copy loaded")
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(DAMAGE))
+def test_torn_artifact_loads_or_is_refused(kind, tmp_path):
+    path, raw, load, files = _set_up(kind, tmp_path)
+    for size in {*range(0, len(raw), max(1, len(raw) // 64)), len(raw) - 1}:
+        _load_damaged(kind, path, raw[:size], load, files)
+
+
+@pytest.mark.parametrize("kind", sorted(DAMAGE))
+def test_bit_flipped_artifact_loads_or_is_refused(kind, tmp_path):
+    path, raw, load, files = _set_up(kind, tmp_path)
+    most = DAMAGE[kind][2]
+    for i in range(0, len(raw), max(1, len(raw) // (most or len(raw)))):
+        damaged = bytearray(raw)
+        damaged[i] ^= 1 << (i % 8)
+        _load_damaged(kind, path, bytes(damaged), load, files)

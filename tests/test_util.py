@@ -1,4 +1,5 @@
-"""Tests for the shared utilities (time handling, hash noise)."""
+"""Tests for the shared utilities (time handling, hash noise, the
+artifact reader)."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro._util import (
     hash_uniform,
     iso,
     month_index,
+    read_artifact,
     splitmix64,
 )
 
@@ -88,3 +90,51 @@ def test_property_hash_stable_per_key(key, seed):
     b = hash_uniform(np.uint64(key), seed=seed)
     assert a == b
     assert 0.0 <= float(a) < 1.0
+
+
+class _Refused(ValueError):
+    pass
+
+
+class TestReadArtifact:
+    def read(self, tmp_path, text, decode=dict, **kw):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        return read_artifact(
+            path, _Refused, decode, what="artifact", hint="rebuild it",
+            kind=("kind", "k"), version=("v", 1), **kw,
+        )
+
+    def test_checks_then_decodes(self, tmp_path):
+        doc = self.read(tmp_path, '{"kind": "k", "v": 1, "x": 2}',
+                        decode=lambda d: d["x"])
+        assert doc == 2
+
+    @pytest.mark.parametrize("text, found", [
+        ("{torn", "unreadable JSON"),
+        ("[1]", "type mismatch: found list"),
+        ('{"kind": "j", "v": 1}', "kind (kind) mismatch: found 'j'"),
+        ('{"kind": "k", "v": 2}', "schema version (v) mismatch: found 2"),
+        ('{"kind": "k", "v": 1}', "fields mismatch: found KeyError 'x'"),
+    ])
+    def test_damage_is_the_loaders_error(self, tmp_path, text, found):
+        with pytest.raises(_Refused, match="hint: rebuild it") as exc:
+            self.read(tmp_path, text, decode=lambda d: d["x"])
+        assert found in str(exc.value)
+
+    def test_repro_errors_from_decode_pass_through(self, tmp_path):
+        from repro import ReproError
+
+        def decode(doc):
+            raise ReproError("a refusal of its own")
+
+        with pytest.raises(ReproError, match="of its own"):
+            self.read(tmp_path, '{"kind": "k", "v": 1}', decode=decode)
+
+    def test_missing_file(self, tmp_path):
+        kw = dict(what="artifact", hint="build it")
+        assert read_artifact(
+            tmp_path / "none.json", _Refused, dict, absent=None, **kw
+        ) is None
+        with pytest.raises(_Refused, match="artifact missing; hint"):
+            read_artifact(tmp_path / "none.json", _Refused, dict, **kw)
